@@ -11,6 +11,7 @@ import (
 
 	"divflow/internal/model"
 	"divflow/internal/obs"
+	"divflow/internal/shardlink"
 	"divflow/internal/sim"
 	"divflow/internal/stats"
 	"divflow/internal/wal"
@@ -20,15 +21,19 @@ import (
 // fleet is logged write-ahead: submissions (with their exact rational size,
 // weight, and release), admission batches (the virtual time the loop admitted
 // them at — the one input the executed trace is a deterministic function of),
-// steal and reshard migrations, topology-generation installs, and — as pure
-// truncation markers — completions and compaction horizons. Periodic
-// snapshots capture the whole fleet exactly (per-shard engine states with the
-// live jobs' remaining fractions, the forwarding table, the generation list,
-// all counters); the log is truncated behind each. On startup the newest
-// valid snapshot is loaded (torn ones skipped), and the WAL suffix past its
-// watermark is replayed through the normal admission paths at the recorded
-// virtual times — so the restored fleet's merged trace validates exactly and
-// matches an uninterrupted run bit for bit.
+// the reserve, adopt, commit and abort steps of every steal and reshard
+// migration (each logged by its own shard), topology-generation installs,
+// and — as pure truncation markers — completions and compaction horizons.
+// Periodic snapshots capture the whole fleet exactly (per-shard engine states
+// with the live jobs' remaining fractions, the forwarding table, the
+// generation list, all counters); the log is truncated behind each. On
+// startup the newest valid snapshot is loaded (torn ones skipped), and the
+// WAL suffix past its watermark is replayed through the normal admission and
+// migration paths at the recorded virtual times — so the restored fleet's
+// merged trace validates exactly and matches an uninterrupted run bit for
+// bit. A migration a crash cut short gets a defined ending: a reservation no
+// destination adopted is aborted back to its donor, an adopted one is
+// committed.
 //
 // The failure policy is freeze-and-serve: the first WAL append, fsync, or
 // snapshot failure latches an error, after which no further appends or
@@ -41,7 +46,10 @@ const (
 	walTypeSubmit   = "submit"
 	walTypeAdmit    = "admit"
 	walTypeComplete = "complete"
-	walTypeMigrate  = "migrate"
+	walTypeReserve  = "reserve"
+	walTypeAdopt    = "adopt"
+	walTypeCommit   = "commit"
+	walTypeAbort    = "abort"
 	walTypeTopo     = "topology"
 	walTypeCompact  = "compact"
 )
@@ -83,20 +91,34 @@ type recComplete struct {
 	At    *big.Rat `json:"at"`
 }
 
-// recMigrate logs one job moving between shards (steal or reshard), at the
-// donor's exact engine time of the extraction. Decide marks the migrate that
-// triggered the donor's post-steal re-plan, so replay reproduces the same
-// decision count.
-type recMigrate struct {
-	From      int      `json:"from"`
-	FromLocal int      `json:"fromLocal"`
-	To        int      `json:"to"`
-	ToLocal   int      `json:"toLocal"`
-	GID       int      `json:"gid"`
-	Remaining *big.Rat `json:"remaining,omitempty"`
-	At        *big.Rat `json:"at"`
-	Reason    string   `json:"reason"` // "steal" | "reshard"
-	Decide    bool     `json:"decide,omitempty"`
+// recReserve logs a donor's reserve op at its exact engine time: the
+// reserved local slots with their exact remaining fractions (null for a
+// whole, never-admitted job), and whether the donor re-planned after it, so
+// replay reproduces the same decision count.
+type recReserve struct {
+	Shard      int        `json:"shard"`
+	At         *big.Rat   `json:"at"`
+	Locals     []int      `json:"locals"`
+	Remainings []*big.Rat `json:"remainings"`
+	Decide     bool       `json:"decide,omitempty"`
+}
+
+// recAdopt logs a destination's adopt op: the wire jobs it adopted from
+// shard From and the local slots they received.
+type recAdopt struct {
+	Shard  int                     `json:"shard"`
+	From   int                     `json:"from"`
+	Reason string                  `json:"reason"` // "steal" | "reshard"
+	Jobs   []shardlink.MigratedJob `json:"jobs"`
+	Locals []int                   `json:"locals"`
+}
+
+// recSettle logs a donor's commit or abort of reserved local slots; a
+// commit names its reason, which selects the migration counter it bumps.
+type recSettle struct {
+	Shard  int    `json:"shard"`
+	Locals []int  `json:"locals"`
+	Reason string `json:"reason,omitempty"`
 }
 
 // walMachine is one machine in a WAL or snapshot document.
@@ -291,20 +313,6 @@ func (d *durability) appendCompact(sh *shard, now, horizon *big.Rat) {
 		return
 	}
 	d.append(walTypeCompact, &recCompact{Shard: sh.idx, Now: copyRat(now), Horizon: copyRat(horizon)})
-}
-
-// appendMigrate logs one cross-shard migration. Callers hold both shards'
-// mus.
-//
-//divflow:locks requires=shard
-func (d *durability) appendMigrate(from, to *shard, fromLocal, toLocal, gid int, remaining, at *big.Rat, reason string, decide bool) {
-	if d == nil {
-		return
-	}
-	d.append(walTypeMigrate, &recMigrate{
-		From: from.idx, FromLocal: fromLocal, To: to.idx, ToLocal: toLocal,
-		GID: gid, Remaining: copyRat(remaining), At: copyRat(at), Reason: reason, Decide: decide,
-	})
 }
 
 // --- Snapshots ---------------------------------------------------------
@@ -898,9 +906,11 @@ func (s *Server) restore(st *restoreState) error {
 			s.forward[fw.GID] = fwdLoc{sh: sh, local: fw.Local}
 		}
 	}
-	if err := s.replay(st.suffix); err != nil {
+	open, err := s.replay(st.suffix)
+	if err != nil {
 		return err
 	}
+	s.settleInflight(open)
 	s.repairRetired(st.now)
 	return nil
 }
@@ -915,12 +925,24 @@ func (s *Server) shardByIdx(idx int) (*shard, error) {
 	return nil, fmt.Errorf("server: replay: unknown shard %d", idx)
 }
 
-// replay re-executes the WAL suffix through the normal admission paths at
-// the recorded virtual times. The write-ahead hooks are gated off for its
-// duration, so replay never re-logs what the log already holds.
-func (s *Server) replay(recs []wal.Record) error {
+// inflight is a migration the replayed log leaves unsettled. Steals and
+// reshards migrate under reshardMu and restore repair runs alone, so at most
+// one reservation is ever open, and only a crash leaves it open at the end of
+// the log.
+type inflight struct {
+	donor   *shard
+	locals  []int        // reserved donor slots not yet committed or aborted
+	adopted map[int]bool // donor slots some adopt record took
+	reason  string       // the adopting migration's reason
+}
+
+// replay re-executes the WAL suffix through the normal admission and
+// migration paths at the recorded virtual times, returning the migration a
+// crash left unsettled (nil when none). The write-ahead hooks are gated off
+// for its duration, so replay never re-logs what the log already holds.
+func (s *Server) replay(recs []wal.Record) (*inflight, error) {
 	if len(recs) == 0 {
-		return nil
+		return nil, nil
 	}
 	s.dur.mu.Lock()
 	s.dur.replaying = true
@@ -931,6 +953,7 @@ func (s *Server) replay(recs []wal.Record) error {
 		s.dur.replayed = len(recs)
 		s.dur.mu.Unlock()
 	}()
+	var open *inflight
 	for _, rec := range recs {
 		var err error
 		switch rec.Type {
@@ -949,10 +972,20 @@ func (s *Server) replay(recs []wal.Record) error {
 			if err = json.Unmarshal(rec.Data, &r); err == nil {
 				err = s.replayComplete(&r)
 			}
-		case walTypeMigrate:
-			var r recMigrate
+		case walTypeReserve:
+			var r recReserve
 			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replayMigrate(&r)
+				open, err = s.replayReserve(&r, open)
+			}
+		case walTypeAdopt:
+			var r recAdopt
+			if err = json.Unmarshal(rec.Data, &r); err == nil {
+				err = s.replayAdopt(&r, open)
+			}
+		case walTypeCommit, walTypeAbort:
+			var r recSettle
+			if err = json.Unmarshal(rec.Data, &r); err == nil {
+				open, err = s.replaySettle(rec.Type, &r, open)
 			}
 		case walTypeTopo:
 			var r recTopo
@@ -968,10 +1001,10 @@ func (s *Server) replay(recs []wal.Record) error {
 			err = fmt.Errorf("unknown record type %q", rec.Type)
 		}
 		if err != nil {
-			return fmt.Errorf("server: replay: record %d (%s): %w", rec.Seq, rec.Type, err)
+			return nil, fmt.Errorf("server: replay: record %d (%s): %w", rec.Seq, rec.Type, err)
 		}
 	}
-	return nil
+	return open, nil
 }
 
 func (s *Server) replaySubmit(r *recSubmit) error {
@@ -1079,83 +1112,123 @@ func (s *Server) replayCompact(r *recCompact) error {
 	return nil
 }
 
-//divflow:locks ascending=shard
-func (s *Server) replayMigrate(r *recMigrate) error {
-	from, err := s.shardByIdx(r.From)
+// replayReserve re-runs a donor's reserve core at the recorded engine time
+// and checks it extracted exactly the recorded remaining fractions.
+func (s *Server) replayReserve(r *recReserve, open *inflight) (*inflight, error) {
+	if open != nil {
+		return nil, fmt.Errorf("reserve on shard %d while shard %d's reservation is open", r.Shard, open.donor.idx)
+	}
+	sh, err := s.shardByIdx(r.Shard)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	to, err := s.shardByIdx(r.To)
-	if err != nil {
-		return err
+	if r.At == nil || len(r.Remainings) != len(r.Locals) {
+		return nil, errors.New("reserve record malformed")
 	}
-	if r.At == nil {
-		return errors.New("migrate record missing time")
-	}
-	first, second := from, to
-	if to.idx < from.idx {
-		first, second = to, from
-	}
-	first.mu.Lock()
-	second.mu.Lock()
-	defer second.mu.Unlock()
-	defer first.mu.Unlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	// The donor's engine time at the extraction is part of the recorded
-	// execution: migratedAt drives the record's later compaction.
-	from.catchUpTo(r.At)
-	if r.FromLocal < 0 || r.FromLocal >= len(from.records) || from.records[r.FromLocal] == nil {
-		return fmt.Errorf("shard %d has no record %d", from.idx, r.FromLocal)
+	// execution: it fixes the remaining fractions and the compaction stamp.
+	if sh.lastErr == nil {
+		sh.catchUpTo(r.At)
 	}
-	rec := from.records[r.FromLocal]
-	var remaining *big.Rat
-	if rj, err := from.eng.Remove(rec.id); err == nil {
-		remaining = rj.Remaining
-	} else {
-		pending := from.pending[:0]
-		found := false
-		for _, p := range from.pending {
-			if p == rec {
-				found = true
-				continue
-			}
-			pending = append(pending, p)
+	recs := make([]*jobRecord, len(r.Locals))
+	for i, local := range r.Locals {
+		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
+			return nil, fmt.Errorf("shard %d has no record %d", sh.idx, local)
 		}
-		from.pending = pending
-		if !found {
-			return fmt.Errorf("job %d neither live nor pending on shard %d", r.GID, from.idx)
+		recs[i] = sh.records[local]
+	}
+	jobs, _ := sh.reserveLocked(recs, r.Decide)
+	if len(jobs) != len(r.Locals) {
+		return nil, fmt.Errorf("shard %d reserved %d of %d recorded jobs", sh.idx, len(jobs), len(r.Locals))
+	}
+	for i, mj := range jobs {
+		if want := r.Remainings[i]; (want == nil) != (mj.Remaining == nil) || (want != nil && want.Cmp(mj.Remaining) != 0) {
+			return nil, fmt.Errorf("job %d reserved with remaining %v, record says %v", mj.GID, mj.Remaining, want)
 		}
-		remaining = rec.remaining
 	}
-	from.orphanRecord(rec)
-	nrec := to.adoptRecord(rec, remaining)
-	if nrec.id != r.ToLocal {
-		return fmt.Errorf("job %d landed at local %d on shard %d, record says %d", r.GID, nrec.id, to.idx, r.ToLocal)
+	return &inflight{donor: sh, locals: r.Locals, adopted: make(map[int]bool)}, nil
+}
+
+// replayAdopt re-runs a destination's adopt core and checks the jobs landed
+// in the recorded local slots.
+func (s *Server) replayAdopt(r *recAdopt, open *inflight) error {
+	if open == nil || open.donor.idx != r.From {
+		return fmt.Errorf("adopt from shard %d without its reservation", r.From)
 	}
-	if r.Reason == "reshard" {
-		from.reshardOut++
-		to.reshardIn++
-	} else {
-		from.migratedOut++
-		to.stolenIn++
+	sh, err := s.shardByIdx(r.Shard)
+	if err != nil {
+		return err
 	}
-	s.fwdMu.Lock()
-	s.forward[rec.gid] = fwdLoc{sh: to, local: nrec.id}
-	s.fwdMu.Unlock()
-	from.backlogMu.Lock()
-	from.backlog.Sub(from.backlog, rec.size)
-	from.tenantBacklogSub(rec.tenant, rec.size)
-	from.backlogMu.Unlock()
-	to.backlogMu.Lock()
-	to.backlog.Add(to.backlog, rec.size)
-	to.tenantBacklogAdd(rec.tenant, rec.size)
-	to.backlogMu.Unlock()
-	to.obs.event(obs.EventMigrate, rec.gid, nil, fmt.Sprintf("replayed %s from shard %d", r.Reason, from.idx))
-	// The live steal re-plans the donor once per steal batch; the flagged
-	// record reproduces that single decision at the same point.
-	if r.Decide && from.lastErr == nil {
-		from.decide()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	locals := sh.adoptLocked(shardlink.AdmitArgs{Jobs: r.Jobs, Reason: r.Reason, From: r.From})
+	if fmt.Sprint(locals) != fmt.Sprint(r.Locals) {
+		return fmt.Errorf("shard %d adopted into locals %v, record says %v", sh.idx, locals, r.Locals)
 	}
+	for _, mj := range r.Jobs {
+		open.adopted[mj.FromLocal] = true
+	}
+	open.reason = r.Reason
 	return nil
+}
+
+// replaySettle re-runs a donor's commit or abort core and closes the settled
+// slots of the open reservation.
+func (s *Server) replaySettle(typ string, r *recSettle, open *inflight) (*inflight, error) {
+	sh, err := s.shardByIdx(r.Shard)
+	if err != nil {
+		return nil, err
+	}
+	sh.mu.Lock()
+	if typ == walTypeCommit {
+		sh.commitLocked(r.Locals, r.Reason)
+	} else {
+		sh.abortLocked(r.Locals)
+	}
+	sh.mu.Unlock()
+	if open == nil || open.donor != sh {
+		return open, nil
+	}
+	settled := make(map[int]bool, len(r.Locals))
+	for _, l := range r.Locals {
+		settled[l] = true
+	}
+	var rest []int
+	for _, l := range open.locals {
+		if !settled[l] {
+			rest = append(rest, l)
+		}
+	}
+	if len(rest) == 0 {
+		return nil, nil
+	}
+	open.locals = rest
+	return open, nil
+}
+
+// settleInflight gives a migration a crash cut short its defined ending,
+// durably (the write-ahead hooks are live again): jobs a destination adopted
+// are committed — the destination owns them and forwarding points there —
+// and the rest are aborted back onto the donor with their exact remaining
+// fractions. A retired donor's aborted jobs then go through repairRetired.
+func (s *Server) settleInflight(m *inflight) {
+	if m == nil {
+		return
+	}
+	var commit, abort []int
+	for _, l := range m.locals {
+		if m.adopted[l] {
+			commit = append(commit, l)
+		} else {
+			abort = append(abort, l)
+		}
+	}
+	m.donor.mu.Lock()
+	defer m.donor.mu.Unlock()
+	m.donor.commitLocked(commit, m.reason)
+	m.donor.abortLocked(abort)
 }
 
 func (s *Server) replayTopo(r *recTopo) error {
@@ -1209,11 +1282,12 @@ func (s *Server) replayTopo(r *recTopo) error {
 }
 
 // repairRetired finishes an interrupted reshard: a crash between the
-// topology record and the last migration record leaves queued or live jobs
-// on retired shards. They are re-migrated through the normal paths — with
-// the write-ahead hooks live again, so the repair itself is durable — using
-// the same least-residual-work placement the reshard would have used, in the
-// same order, so the repaired run matches the uninterrupted one.
+// topology record and the last migration of the reshard leaves queued or
+// live jobs on retired shards. They are re-migrated through the migration
+// cores — with the write-ahead hooks live again, so the repair itself is
+// durable — using the same least-residual-work placement the reshard would
+// have used, in the same order, so the repaired run matches the
+// uninterrupted one. Each core runs under its own shard's mu alone.
 func (s *Server) repairRetired(now *big.Rat) {
 	act := s.gens[len(s.gens)-1].shards
 	resid := make(map[*shard]*big.Rat, len(act))
@@ -1226,76 +1300,29 @@ func (s *Server) repairRetired(now *big.Rat) {
 		}
 		donor.mu.Lock()
 		// Catch the donor up to the restored virtual time before extracting:
-		// the lost migrate records are what carried the original donor's
+		// the lost migration records are what carried the original donor's
 		// catch-up to the reshard time, so without this the work it executed
 		// since its last replayed record would be retroactively discarded and
 		// the repaired remainings would not match the uninterrupted run's.
 		if donor.lastErr == nil {
 			donor.catchUpTo(now)
 		}
-		var stranded []*jobRecord
-		stranded = append(stranded, donor.pending...)
-		donor.pending = nil
-		type liveJob struct {
-			rec       *jobRecord
-			remaining *big.Rat
+		jobs, _ := donor.reserveLocked(donor.queuedAndLive(), false)
+		donor.mu.Unlock()
+		if len(jobs) == 0 {
+			continue
 		}
-		var live []liveJob
-		for _, br := range donor.eng.RemoveAll() {
-			live = append(live, liveJob{rec: donor.records[br.ID], remaining: copyRat(br.Job.Remaining)})
+		plan, warning := placeJobs(jobs, act, resid)
+		if warning != "" {
+			s.tel.event(obs.EventReject, -1, -1, "restore: "+warning)
 		}
-		//divflow:locks requires=shard ascending=shard
-		migrate := func(rec *jobRecord, remaining *big.Rat) {
-			donor.orphanRecord(rec)
-			donor.reshardOut++
-			var dest, destStalled *shard
-			for _, sh := range act {
-				if !sh.hosts(rec.databanks) {
-					continue
-				}
-				if sh.lastErr != nil {
-					if destStalled == nil || resid[sh].Cmp(resid[destStalled]) < 0 {
-						destStalled = sh
-					}
-					continue
-				}
-				if dest == nil || resid[sh].Cmp(resid[dest]) < 0 {
-					dest = sh
-				}
-			}
-			if dest == nil {
-				dest = destStalled
-			}
-			if dest == nil {
-				// No host on the current topology: the job is lost to the
-				// crash window. Leave it migrated-away and surface the gap.
-				s.tel.event(obs.EventReject, -1, rec.gid, "restore: no shard hosts the stranded job")
-				return
-			}
-			dest.mu.Lock()
-			nrec := dest.adoptRecord(rec, remaining)
-			dest.reshardIn++
-			s.dur.appendMigrate(donor, dest, rec.id, nrec.id, rec.gid, remaining, donor.eng.Now(), "reshard", false)
-			dest.mu.Unlock()
-			s.fwdMu.Lock()
-			s.forward[rec.gid] = fwdLoc{sh: dest, local: nrec.id}
-			s.fwdMu.Unlock()
-			resid[dest].Add(resid[dest], rec.size)
-			donor.backlogMu.Lock()
-			donor.backlog.Sub(donor.backlog, rec.size)
-			donor.tenantBacklogSub(rec.tenant, rec.size)
-			donor.backlogMu.Unlock()
-			dest.backlogMu.Lock()
-			dest.backlog.Add(dest.backlog, rec.size)
-			dest.tenantBacklogAdd(rec.tenant, rec.size)
-			dest.backlogMu.Unlock()
+		for _, p := range plan {
+			p.dest.mu.Lock()
+			p.dest.adoptLocked(shardlink.AdmitArgs{Jobs: p.jobs, Reason: migrateReshard, From: donor.idx})
+			p.dest.mu.Unlock()
 		}
-		for _, rec := range stranded {
-			migrate(rec, rec.remaining)
-		}
-		for _, lj := range live {
-			migrate(lj.rec, lj.remaining)
-		}
+		donor.mu.Lock()
+		donor.commitLocked(fromLocals(jobs), migrateReshard)
 		donor.mu.Unlock()
 	}
 }

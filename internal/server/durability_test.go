@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 	"net/http"
@@ -254,10 +255,17 @@ func testCrashRestartEquivalence(t *testing.T, policy string, cut int) {
 // TestWALCrashAfterStealRestoresExactly crashes right after a cross-shard
 // steal migrated a half-executed job and checks the restored fleet finishes
 // with the exact closed-form completions of the uninterrupted scenario
-// (TestStealMigratesHalfExecutedJob): the migrate records replay the recorded
-// placements and the donor's re-plan, and the merged trace still validates.
+// (TestStealMigratesHalfExecutedJob): the reserve, adopt and commit records
+// replay the recorded migration and the donor's re-plan, and the merged
+// trace still validates. Both transports log the same records.
 func TestWALCrashAfterStealRestoresExactly(t *testing.T) {
-	cfg := Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", WALDir: t.TempDir()}
+	for _, tr := range transportAxis {
+		t.Run(tr, func(t *testing.T) { testWALCrashAfterSteal(t, tr) })
+	}
+}
+
+func testWALCrashAfterSteal(t *testing.T, transport string) {
+	cfg := Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", WALDir: t.TempDir(), Transport: transport}
 	vc := NewVirtualClock()
 	crashCfg := cfg
 	crashCfg.Clock = vc
@@ -303,6 +311,180 @@ func TestWALCrashAfterStealRestoresExactly(t *testing.T) {
 		if !known || got.State != StateDone || got.CompletedAt != want {
 			t.Errorf("job %d = %s @ %s (known %v), want done @ %s", id, got.State, got.CompletedAt, known, want)
 		}
+	}
+	validateServer(t, srv2)
+}
+
+// stealWindowFixture drives TestStealMigratesHalfExecutedJob's fixture to
+// t=3 — D and B done, A half-executed on shard 0 — with every shard
+// quiesced. cfg should disable the loops' own stealing, so the one steal the
+// caller drives through stealFrom writes its WAL records in a fixed order:
+// reserve (shard 0), adopt (shard 1), commit (shard 0).
+func stealWindowFixture(t *testing.T, cfg Config) (srv *Server, vc *VirtualClock, ids map[string]int) {
+	t.Helper()
+	vc = NewVirtualClock()
+	cfg.Clock = vc
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = make(map[string]int)
+	for _, j := range []struct{ name, size, bank string }{
+		{"D", "2", "shared"}, {"A", "6", "shared"}, {"C", "10", "hot"},
+	} {
+		ids[j.name] = submitTo(t, srv.active()[0], j.size, j.bank)
+	}
+	ids["B"] = submitTo(t, srv.active()[1], "3", "shared")
+	srv.Start()
+	waitStats(t, srv, func(st model.StatsResponse) bool { return st.BatchedArrivals >= 4 })
+	vc.Advance(rat(2, 1))
+	waitStats(t, srv, func(st model.StatsResponse) bool { return st.JobsCompleted == 1 })
+	vc.Advance(rat(3, 1))
+	waitStats(t, srv, func(st model.StatsResponse) bool { return st.JobsCompleted == 2 })
+	quiesce(t, srv, rat(3, 1))
+	return srv, vc, ids
+}
+
+// mergedTrace renders every shard's executed pieces, shard by shard, for
+// bit-for-bit comparison of two runs.
+func mergedTrace(srv *Server) string {
+	var b bytes.Buffer
+	for _, sh := range srv.allShards() {
+		pieces, _, _ := sh.scheduleSnapshot(nil)
+		for _, pc := range pieces {
+			fmt.Fprintf(&b, "%d:%d %d [%s,%s] %s\n", sh.idx, pc.Job, pc.Machine,
+				pc.Start.RatString(), pc.End.RatString(), pc.Fraction.RatString())
+		}
+	}
+	return b.String()
+}
+
+// TestWALCrashAtStealReserveAbortsToDonor crashes a steal right after its
+// reserve record: the thief's adopt never became durable, so restore aborts
+// the reservation and the job goes back to the donor. The restored fleet
+// holds every job exactly once — A on shard 0 with its exact remaining
+// fraction 1/2 — and its merged trace validates once driven to completion.
+// The abort is itself logged: a second restart replays it.
+func TestWALCrashAtStealReserveAbortsToDonor(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	cfg := Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", DisableSteal: true, WALDir: t.TempDir()}
+	srv, _, ids := stealWindowFixture(t, cfg)
+	faults.Arm(faults.CrashAfterAppend, 0)
+	if !srv.stealFrom(srv.active()[1], srv.active()[0]) {
+		t.Fatal("steal moved nothing")
+	}
+	if err := srv.dur.latchedErr(); err == nil {
+		t.Fatal("simulated crash did not latch durability")
+	}
+	faults.Reset()
+
+	srv2, vc2 := reopenServer(t, cfg)
+	defer srv2.Close()
+	for name, gid := range ids {
+		var holders []string
+		for _, sh := range srv2.allShards() {
+			sh.mu.Lock()
+			for _, rec := range sh.records {
+				if rec == nil || rec.gid != gid || rec.state == StateMigrated {
+					continue
+				}
+				holders = append(holders, fmt.Sprintf("shard %d local %d", sh.idx, rec.id))
+				if name == "A" {
+					queued := len(sh.pending) == 1 && sh.pending[0] == rec
+					if sh.idx != 0 || !queued || rec.remaining == nil || rec.remaining.Cmp(rat(1, 2)) != 0 {
+						t.Errorf("A restored on shard %d (queued %v) with remaining %v, want queued on shard 0 with 1/2",
+							sh.idx, queued, rec.remaining)
+					}
+				}
+			}
+			sh.mu.Unlock()
+		}
+		if len(holders) != 1 {
+			t.Errorf("job %s held by %v after restore, want exactly one holder", name, holders)
+		}
+	}
+	srv2.fwdMu.RLock()
+	forwarded := len(srv2.forward)
+	srv2.fwdMu.RUnlock()
+	if st := srv2.Stats(); st.Migrations != 0 || st.StolenJobs != 0 || forwarded != 0 {
+		t.Fatalf("restored fleet = %d migrations / %d stolen / %d forwarding entries, want none",
+			st.Migrations, st.StolenJobs, forwarded)
+	}
+	srv2.Start()
+	drive(t, vc2, func() bool { return srv2.Stats().JobsCompleted == 4 })
+	validateServer(t, srv2)
+	quiesce(t, srv2, vc2.Now())
+
+	// Restart the finished run without a clean shutdown: replay crosses the
+	// logged abort and re-admits A on the donor exactly as srv2 did.
+	srv3, _ := reopenServer(t, cfg)
+	defer srv3.Close()
+	for name, gid := range ids {
+		want, _ := srv2.jobStatus(gid)
+		got, known := srv3.jobStatus(gid)
+		if !known || got.State != want.State || got.CompletedAt != want.CompletedAt {
+			t.Errorf("job %s after second restart = %s @ %s, want %s @ %s", name, got.State, got.CompletedAt, want.State, want.CompletedAt)
+		}
+	}
+}
+
+// TestWALCrashAtStealAdoptCommitsToThief crashes a steal right after its
+// adopt record: the thief owns A and the forwarding table points at it, so
+// restore commits the donor side. The restored run must equal the
+// uninterrupted one bit for bit — completions, merged trace, and the
+// Migrations/StolenJobs counters — and the stolen record's slot must not
+// leak A under the never-issued global ID 3.
+func TestWALCrashAtStealAdoptCommitsToThief(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	base := Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", DisableSteal: true}
+	finish := func(srv *Server, vc *VirtualClock) {
+		t.Helper()
+		waitStats(t, srv, func(st model.StatsResponse) bool { return st.Shards[1].JobsLive == 1 })
+		quiesce(t, srv, rat(3, 1))
+		drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 4 })
+	}
+
+	ref, refVC, ids := stealWindowFixture(t, base)
+	defer ref.Close()
+	if !ref.stealFrom(ref.active()[1], ref.active()[0]) {
+		t.Fatal("reference steal moved nothing")
+	}
+	finish(ref, refVC)
+
+	cfg := base
+	cfg.WALDir = t.TempDir()
+	srv, _, _ := stealWindowFixture(t, cfg)
+	faults.Arm(faults.CrashAfterAppend, 1)
+	if !srv.stealFrom(srv.active()[1], srv.active()[0]) {
+		t.Fatal("steal moved nothing")
+	}
+	if err := srv.dur.latchedErr(); err == nil {
+		t.Fatal("simulated crash did not latch durability")
+	}
+	faults.Reset()
+
+	srv2, vc2 := reopenServer(t, cfg)
+	defer srv2.Close()
+	if st := srv2.Stats(); st.Migrations != 1 || st.StolenJobs != 1 {
+		t.Fatalf("restored steal counters = %d migrations / %d stolen, want 1/1", st.Migrations, st.StolenJobs)
+	}
+	if _, known := srv2.jobStatus(3); known {
+		t.Error("phantom global ID 3 resolves after restore")
+	}
+	srv2.Start()
+	finish(srv2, vc2)
+	for name, gid := range ids {
+		want, _ := ref.jobStatus(gid)
+		got, known := srv2.jobStatus(gid)
+		if !known || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("job %s restored = %+v, uninterrupted = %+v", name, got, want)
+		}
+	}
+	if got, want := srv2.Stats(), ref.Stats(); got.Migrations != want.Migrations || got.StolenJobs != want.StolenJobs {
+		t.Errorf("restored counters = %d/%d, uninterrupted = %d/%d", got.Migrations, got.StolenJobs, want.Migrations, want.StolenJobs)
+	}
+	if got, want := mergedTrace(srv2), mergedTrace(ref); got != want {
+		t.Errorf("restored trace differs from the uninterrupted one:\n%s\nvs\n%s", got, want)
 	}
 	validateServer(t, srv2)
 }
@@ -402,7 +584,7 @@ func TestWALCrashAfterReshardRestoresExactly(t *testing.T) {
 }
 
 // TestWALCrashDuringReshardRepairsStranded crashes *inside* a reshard: the
-// topology record is durable but every migrate record after it is lost. The
+// topology record is durable but every migration record after it is lost. The
 // restored server must come up in the new topology, notice the unfinished
 // jobs stranded on retired shards, re-migrate them itself (repairRetired),
 // and still finish exactly like an uninterrupted run.
@@ -430,7 +612,7 @@ func TestWALCrashDuringReshardRepairsStranded(t *testing.T) {
 	}
 	ids := reshardScript(t, srv, vc)
 	// The very next WAL append is the reshard's topology record: it lands
-	// durably, then the simulated crash strikes — every migrate record after
+	// durably, then the simulated crash strikes — every migration record after
 	// it is lost, exactly a crash halfway through writing the reshard.
 	faults.Arm(faults.CrashAfterAppend, 0)
 	if _, err := srv.Reshard(&model.Platform{Machines: replicatedFleet()}); err != nil {

@@ -10,9 +10,10 @@ import (
 )
 
 // This file is the server side of the shardlink boundary: the shard-level
-// handlers behind every transport, plus the two Link implementations —
-// localLink (direct in-process calls, today's behavior bit-for-bit) and
-// rpcLink (net/rpc over a loopback pipe or a worker's TCP socket). The
+// handlers behind every transport — the migration ops among them — plus the
+// two Link implementations: localLink (direct calls into the shard under its
+// mutex) and rpcLink (net/rpc over a loopback pipe or a worker's TCP
+// socket). The
 // router holds exactly one Link per shard and speaks to the shard only
 // through it; which transport sits behind the Link is invisible above this
 // file.
@@ -86,65 +87,94 @@ func submitErr(rep shardlink.SubmitReply) (int, error) {
 	}
 }
 
-// extractJobs is the reserve phase of a two-phase migration, on the donor:
-// catch up, take the steal census against the thief's machines, and pull the
-// selected jobs out of the engine and the pending queue. The extracted
-// records are *reserved*, not yet migrated — they stay readable at their
-// pre-move state (no not-found window while the messages are in flight) and
-// their work stays in the donor's backlog until commitExtract, so the
-// router's view of fleet-wide residual work never dips mid-exchange.
+// ---------------------------------------------------------------------------
+// Migration. These four ops are the only code that moves a job between
+// shards: a steal runs them as messages over the shard's link, a reshard and
+// restore repair call their locked cores directly. reserve (donor) takes the
+// jobs out of the engine and the pending queue, adopt (destination) gives
+// them fresh records there, and commit (donor) retires the donor's records —
+// or abort (donor) hands the work back. Each core touches its own shard
+// alone, writes its own WAL record under that shard's mu, and is what replay
+// runs for that record, so a live run and a restored one move jobs through
+// the same code.
+
+// extractJobs is the reserve op of a steal, on the donor: catch up, take the
+// steal census against the thief's machines, and reserve the selection.
 func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed || sh.retired || sh.freed || sh.lastErr != nil {
 		return shardlink.ExtractReply{}
 	}
-	// Same reason as the in-process path: remaining fractions must reflect
-	// everything (notionally) executed up to the present, and the catch-up's
-	// re-solve must happen before the census reads the engine.
+	// Remaining fractions must reflect everything (notionally) executed up
+	// to the present, and the catch-up's re-solve must happen before the
+	// census reads the engine.
 	if _, ok := sh.catchUp(); !ok {
 		return shardlink.ExtractReply{}
 	}
-	items := sh.stealCensus(func(databanks []string) bool {
+	recs := sh.stealCensus(func(databanks []string) bool {
 		return hostsAny(args.ThiefMachines, databanks)
 	})
-	var rep shardlink.ExtractReply
-	for _, it := range items {
-		rec := it.rec
-		remaining := rec.remaining
-		if it.live {
-			rj, err := sh.eng.Remove(rec.id)
-			if err != nil {
-				// Unreachable while the census runs under the same lock; skip
-				// rather than poison the migration.
-				continue
-			}
-			remaining = rj.Remaining
-			rep.RemovedLive = true
-		} else {
-			pending := sh.pending[:0]
-			for _, p := range sh.pending {
-				if p != rec {
-					pending = append(pending, p)
-				}
-			}
-			sh.pending = pending
+	jobs, removedLive := sh.reserveLocked(recs, true)
+	return shardlink.ExtractReply{Jobs: jobs, RemovedLive: removedLive}
+}
+
+// reserveLocked is the reserve core, on the donor: recs leave the engine and
+// the pending queue with their exact remaining fractions, stamped with the
+// reservation time (every donor piece of the job ends by it, which fixes the
+// record's later compaction). A reserved record stays readable at its
+// pre-move state and its work stays in the donor's backlog until commit, so
+// no read and no routing decision sees the job vanish mid-exchange. A
+// selection covering the whole shard (a reshard drain) leaves the engine
+// through RemoveAll, in its order. With replan set and a live job removed,
+// the donor re-plans at once: the extraction invalidated its plan, and the
+// machines that ran the jobs must not idle until its next event. Records
+// neither live nor pending are skipped. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) reserveLocked(recs []*jobRecord, replan bool) ([]shardlink.MigratedJob, bool) {
+	if len(recs) == 0 {
+		return nil, false
+	}
+	queued := make(map[*jobRecord]bool, len(sh.pending))
+	for _, rec := range sh.pending {
+		queued[rec] = true
+	}
+	live := make(map[int]*big.Rat)
+	if len(recs) == len(sh.pending)+sh.eng.Live() {
+		for _, br := range sh.eng.RemoveAll() {
+			live[br.ID] = br.Job.Remaining //divflow:ratalias-ok ownership transfer; the engine deleted the job
 		}
-		// Reserve: out of the engine and the queue, eligibility scrubbed so
-		// no local re-admission can resurrect it, exact remaining stored on
-		// the record for the abort give-back.
+	} else {
+		for _, rec := range recs {
+			if rj, err := sh.eng.Remove(rec.id); err == nil {
+				live[rec.id] = rj.Remaining //divflow:ratalias-ok ownership transfer; the engine deleted the job
+			}
+		}
+	}
+	moved := make(map[*jobRecord]bool, len(recs))
+	jobs := make([]shardlink.MigratedJob, 0, len(recs))
+	for _, rec := range recs {
+		rem, isLive := live[rec.id]
+		if !isLive && !queued[rec] {
+			continue
+		}
+		if isLive {
+			rec.remaining = copyRat(rem)
+		}
+		moved[rec] = true
 		for i := range sh.eligible {
 			delete(sh.eligible[i], rec.id)
 		}
-		rec.remaining = copyRat(remaining)
-		rep.Jobs = append(rep.Jobs, shardlink.MigratedJob{
+		rec.migratedAt = sh.eng.Now()
+		jobs = append(jobs, shardlink.MigratedJob{
 			FromLocal: rec.id,
 			GID:       rec.gid,
 			Name:      rec.name,
 			Weight:    copyRat(rec.weight),
 			Size:      copyRat(rec.size),
 			Release:   copyRat(rec.release),
-			Remaining: copyRat(remaining),
+			Remaining: copyRat(rec.remaining),
 			Databanks: rec.databanks,
 			Counted:   rec.counted,
 			Deadline:  copyRat(rec.deadline),
@@ -152,157 +182,160 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 			SLAClass:  rec.slaClass,
 		})
 	}
-	// Re-plan immediately: the extraction invalidated the plan cache, and the
-	// machines that ran the extracted jobs must not idle for a whole message
-	// round-trip waiting for the commit.
-	if rep.RemovedLive && sh.lastErr == nil {
+	pending := sh.pending[:0]
+	for _, rec := range sh.pending {
+		if !moved[rec] {
+			pending = append(pending, rec)
+		}
+	}
+	sh.pending = pending
+	decide := replan && len(live) > 0
+	if sh.wal != nil {
+		r := &recReserve{Shard: sh.idx, At: sh.eng.Now(), Decide: decide}
+		for _, mj := range jobs {
+			r.Locals = append(r.Locals, mj.FromLocal)
+			r.Remainings = append(r.Remainings, mj.Remaining)
+		}
+		sh.wal.append(walTypeReserve, r)
+	}
+	if decide && sh.lastErr == nil {
 		sh.decide()
 	}
-	return rep
+	return jobs, len(live) > 0
 }
 
-// admitMigrated is the adoption phase on the destination: the mirrored
-// adoptRecord over wire-form jobs. Accepted=false — the shard retired,
-// closed, or latched an error while the exchange was in flight, or (for a
-// steal) went busy — tells the router to abort the donor's reservation.
+// admitMigrated is the adopt op of a steal, on the thief. Accepted=false —
+// the shard retired, closed, or latched an error while the exchange was in
+// flight, or went busy — tells the router to abort the donor's reservation:
+// stealing onto a shard that already has work helps nobody.
 func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed || sh.retired || sh.lastErr != nil {
+	if sh.closed || sh.retired || sh.lastErr != nil || sh.eng.Live() > 0 || len(sh.pending) > 0 {
 		return shardlink.AdmitReply{}
 	}
-	// Same rule the locked path enforces on the thief: stealing onto a shard
-	// that already has work helps nobody — a submission raced the exchange.
-	if args.Reason == migrateSteal && (sh.eng.Live() > 0 || len(sh.pending) > 0) {
-		return shardlink.AdmitReply{}
+	return shardlink.AdmitReply{Accepted: true, Locals: sh.adoptLocked(args)}
+}
+
+// adoptLocked is the adopt core, on the destination: every job gets a fresh
+// record under its original global ID, flow origin and exact remaining
+// fraction, queued for admission at the shard's next wake-up; its work joins
+// the shard's backlog and the forwarding table points its ID here. It
+// returns the local slots the jobs received. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) adoptLocked(args shardlink.AdmitArgs) []int {
+	if len(args.Jobs) == 0 {
+		return nil
 	}
-	rep := shardlink.AdmitReply{Accepted: true}
-	added := new(big.Rat)
-	addedTenants := make(map[string]*big.Rat)
-	for _, mj := range args.Jobs {
-		nrec := &jobRecord{
-			id:        len(sh.records),
-			gid:       mj.GID, // the global ID survives the move
-			name:      mj.Name,
-			weight:    copyRat(mj.Weight),
-			size:      copyRat(mj.Size),
-			databanks: mj.Databanks,
-			state:     StateQueued,
-			release:   copyRat(mj.Release), // flow origin: still the first submission
-			remaining: copyRat(mj.Remaining),
-			deadline:  copyRat(mj.Deadline),
-			tenant:    mj.Tenant,
-			slaClass:  mj.SLAClass,
-			stolen:    true,
-			counted:   mj.Counted,
-		}
-		sh.records = append(sh.records, nrec)
-		sh.pending = append(sh.pending, nrec)
-		for i := range sh.machines {
-			if sh.machines[i].Hosts(nrec.databanks) {
-				sh.eligible[i][nrec.id] = true
-			}
-		}
+	locals := make([]int, len(args.Jobs))
+	for i, mj := range args.Jobs {
+		rec := sh.adoptRecord(mj)
+		locals[i] = rec.id
+		verb := "stolen"
 		if args.Reason == migrateReshard {
 			sh.reshardIn++
+			verb = "resharded"
 		} else {
 			sh.stolenIn++
 		}
-		added.Add(added, nrec.size)
-		if nrec.tenant != "" {
-			if addedTenants[nrec.tenant] == nil {
-				addedTenants[nrec.tenant] = new(big.Rat)
-			}
-			addedTenants[nrec.tenant].Add(addedTenants[nrec.tenant], nrec.size)
-		}
-		rep.Locals = append(rep.Locals, nrec.id)
-		sh.obs.event(obs.EventMigrate, nrec.gid, nil, fmt.Sprintf("%s migration admitted", args.Reason))
-	}
-	if added.Sign() > 0 {
 		sh.backlogMu.Lock()
-		sh.backlog.Add(sh.backlog, added)
-		for t, v := range addedTenants {
-			sh.tenantBacklogAdd(t, v)
-		}
+		sh.backlog.Add(sh.backlog, rec.size)
+		sh.tenantBacklogAdd(rec.tenant, rec.size)
 		sh.backlogMu.Unlock()
-		sh.obs.event(obs.EventSteal, -1, sh.eng.Now(),
-			fmt.Sprintf("%d jobs admitted by %s migration", len(args.Jobs), args.Reason))
+		if sh.setForward != nil {
+			sh.setForward(rec.gid, rec.id)
+		}
+		sh.obs.event(obs.EventMigrate, rec.gid, nil, fmt.Sprintf("%s from shard %d", verb, args.From))
 	}
-	return rep
+	if args.Reason == migrateSteal {
+		sh.obs.event(obs.EventSteal, -1, sh.eng.Now(),
+			fmt.Sprintf("%d jobs from shard %d", len(args.Jobs), args.From))
+	}
+	sh.wal.append(walTypeAdopt, &recAdopt{Shard: sh.idx, From: args.From, Reason: args.Reason, Jobs: args.Jobs, Locals: locals})
+	return locals
 }
 
-// commitExtract finishes a two-phase migration on the donor: the reserved
-// records flip to the migrated state (readable only through the forwarding
-// table, which the router updated before committing) and the moved work
-// finally leaves the donor's backlog.
+// commitExtract is the commit op of a steal, on the donor.
 func (sh *shard) commitExtract(args shardlink.CommitArgs) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.freed {
-		return
-	}
-	moved := new(big.Rat)
-	movedTenants := make(map[string]*big.Rat)
-	for _, local := range args.Locals {
-		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
-			continue
-		}
-		rec := sh.records[local]
-		if rec.state == StateMigrated {
-			continue
-		}
-		sh.orphanRecord(rec)
-		sh.migratedOut++
-		moved.Add(moved, rec.size)
-		if rec.tenant != "" {
-			if movedTenants[rec.tenant] == nil {
-				movedTenants[rec.tenant] = new(big.Rat)
-			}
-			movedTenants[rec.tenant].Add(movedTenants[rec.tenant], rec.size)
-		}
-	}
-	if moved.Sign() == 0 {
-		return
-	}
-	sh.backlogMu.Lock()
-	sh.backlog.Sub(sh.backlog, moved)
-	for t, v := range movedTenants {
-		sh.tenantBacklogSub(t, v)
-	}
-	sh.backlogMu.Unlock()
+	sh.commitLocked(args.Locals, migrateSteal)
 }
 
-// abortExtract is the give-back path: the destination refused (or the
-// transport failed before adoption), so the reserved records re-enter the
-// pending queue with their exact remaining fractions — re-admission through
-// admitAll conserves every piece of executed work, under the record's
-// original local ID (the engine accepts a removed ID back).
+// commitLocked is the commit core, on the donor: the reserved records flip
+// to the migrated state — readable only through the forwarding table, which
+// the adopt already updated — queue for retention compaction, and their work
+// leaves the donor's backlog. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) commitLocked(locals []int, reason string) {
+	recs := sh.reserved(locals)
+	for _, rec := range recs {
+		rec.state = StateMigrated
+		sh.migratedIDs = append(sh.migratedIDs, rec.id)
+		if reason == migrateReshard {
+			sh.reshardOut++
+		} else {
+			sh.migratedOut++
+		}
+		sh.backlogMu.Lock()
+		sh.backlog.Sub(sh.backlog, rec.size)
+		sh.tenantBacklogSub(rec.tenant, rec.size)
+		sh.backlogMu.Unlock()
+	}
+	if len(recs) > 0 {
+		sh.wal.append(walTypeCommit, &recSettle{Shard: sh.idx, Locals: locals, Reason: reason})
+	}
+}
+
+// abortExtract is the abort op of a steal, on the donor.
 func (sh *shard) abortExtract(args shardlink.AbortArgs) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.freed {
-		return
-	}
-	readmitted := false
-	for _, local := range args.Locals {
-		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
-			continue
-		}
-		rec := sh.records[local]
-		if rec.state == StateMigrated {
-			continue
-		}
+	sh.abortLocked(args.Locals)
+}
+
+// abortLocked is the abort core, the give-back path on the donor: the
+// reserved records re-enter the pending queue with their exact remaining
+// fractions — re-admission through admitAll conserves every piece of
+// executed work, under the record's original local ID (the engine accepts a
+// removed ID back). Their work never left the backlog. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) abortLocked(locals []int) {
+	recs := sh.reserved(locals)
+	for _, rec := range recs {
+		rec.migratedAt = nil
 		sh.pending = append(sh.pending, rec)
 		for i := range sh.machines {
 			if sh.machines[i].Hosts(rec.databanks) {
 				sh.eligible[i][rec.id] = true
 			}
 		}
-		readmitted = true
 	}
-	if readmitted {
+	if len(recs) > 0 {
+		sh.wal.append(walTypeAbort, &recSettle{Shard: sh.idx, Locals: locals})
 		sh.poke()
 	}
+}
+
+// reserved resolves donor-side local slots to the records a commit or abort
+// settles, skipping unknown slots and records already migrated. Callers hold
+// sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) reserved(locals []int) []*jobRecord {
+	var recs []*jobRecord
+	for _, local := range locals {
+		if sh.freed || local < 0 || local >= len(sh.records) || sh.records[local] == nil {
+			continue
+		}
+		if rec := sh.records[local]; rec.state != StateMigrated {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
 }
 
 // ---------------------------------------------------------------------------

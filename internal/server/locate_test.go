@@ -25,8 +25,8 @@ import (
 func TestLocateMultiHopForwardingChain(t *testing.T) {
 	vc := NewVirtualClock()
 	// Stealing is disabled so the two migrations below are the only ones:
-	// the hops are driven explicitly through the same stealFrom machinery
-	// the automatic protocol uses. Retention 4 bounds the history.
+	// the hops are driven explicitly through stealFrom, the one migration
+	// path the automatic protocol uses too. Retention 4 bounds the history.
 	srv, err := New(Config{
 		Machines:     uniformFleet(4),
 		Shards:       2,
@@ -72,14 +72,12 @@ func TestLocateMultiHopForwardingChain(t *testing.T) {
 
 	// Hop 1 at t=1: shard 1 (idle) takes J0, the largest remaining work
 	// (5/6 of size 6 after the donor catch-up, vs 1/2 of size 2 for J1).
-	// stealFrom catches the donor up to the clock itself; the thief is
-	// poked manually, standing in for the loop-side steal it would have
-	// initiated itself with stealing enabled.
+	// stealFrom catches the donor up to the clock itself and pokes the
+	// thief's loop to admit what it adopted.
 	vc.Advance(rat(1, 1))
 	if !srv.stealFrom(sh1, sh0) {
 		t.Fatal("hop 1 moved nothing")
 	}
-	sh1.poke()
 	if sh, _, ok := srv.locate(idJ0); !ok || sh != sh1 {
 		t.Fatalf("after hop 1, locate(%d) = %v, want shard 1", idJ0, sh)
 	}
@@ -99,7 +97,6 @@ func TestLocateMultiHopForwardingChain(t *testing.T) {
 	if !srv.stealFrom(sh0, sh1) {
 		t.Fatal("hop 2 moved nothing")
 	}
-	sh0.poke()
 	sh, local, ok := srv.locate(idJ0)
 	if !ok || sh != sh0 {
 		t.Fatalf("after hop 2, locate(%d) = %v, want shard 0 again", idJ0, sh)

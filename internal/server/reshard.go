@@ -10,6 +10,7 @@ import (
 
 	"divflow/internal/model"
 	"divflow/internal/obs"
+	"divflow/internal/shardlink"
 	"divflow/internal/sim"
 )
 
@@ -28,8 +29,8 @@ import (
 //     cache, warm-start basis chain and all;
 //  3. retire every unmatched shard, migrating its queued and live jobs —
 //     exact remaining fractions, original global IDs and flow origins —
-//     onto the new topology with the same machinery work stealing uses
-//     (Engine.RemoveAll / AddPartial plus the forwarding table);
+//     onto the new topology through the same reserve/adopt/commit cores
+//     work stealing uses;
 //  4. spawn loops for the new groups and advance the topology generation,
 //     so new global IDs decode through the new shard count while old IDs
 //     keep resolving through the generation that issued them.
@@ -79,6 +80,79 @@ func hostsAny(machines []model.Machine, databanks []string) bool {
 		}
 	}
 	return false
+}
+
+// placement is one destination's share of a drained shard's jobs.
+type placement struct {
+	dest *shard
+	jobs []shardlink.MigratedJob
+}
+
+// placeJobs chooses the destination of every job leaving a retired shard:
+// the host with the least residual work (resid, which grows as jobs land),
+// the rule the router applies to submissions. A shard with a latched
+// scheduling error only takes a job when no healthy shard hosts it — a
+// poisoned loop has the smallest backlog precisely because it stopped
+// executing, and parking work there would strand it silently — and the
+// returned warning says so. Jobs no shard hosts are left out, with a
+// warning (a reshard's placement check rules them out beforehand). The plan
+// lists destinations in first-use order, each with its jobs in input order.
+func placeJobs(jobs []shardlink.MigratedJob, dests []*shard, resid map[*shard]*big.Rat) ([]*placement, string) {
+	stalled := make(map[*shard]string, len(dests))
+	for _, sh := range dests {
+		_, stalled[sh], _ = sh.routeInfo()
+	}
+	var plan []*placement
+	byDest := make(map[*shard]*placement)
+	warning := ""
+	for _, mj := range jobs {
+		var dest, destStalled *shard
+		for _, sh := range dests {
+			if !sh.hosts(mj.Databanks) {
+				continue
+			}
+			if stalled[sh] != "" {
+				if destStalled == nil || resid[sh].Cmp(resid[destStalled]) < 0 {
+					destStalled = sh
+				}
+				continue
+			}
+			if dest == nil || resid[sh].Cmp(resid[dest]) < 0 {
+				dest = sh
+			}
+		}
+		if dest == nil {
+			dest = destStalled
+			if warning == "" && dest != nil {
+				warning = fmt.Sprintf("job %d migrated to stalled shard %d (no healthy shard hosts databanks %v): %s",
+					mj.GID, dest.idx, mj.Databanks, stalled[dest])
+			}
+		}
+		if dest == nil {
+			if warning == "" {
+				warning = fmt.Sprintf("job %d: no shard hosts databanks %v", mj.GID, mj.Databanks)
+			}
+			continue
+		}
+		resid[dest].Add(resid[dest], mj.Size)
+		p := byDest[dest]
+		if p == nil {
+			p = &placement{dest: dest}
+			byDest[dest] = p
+			plan = append(plan, p)
+		}
+		p.jobs = append(p.jobs, mj)
+	}
+	return plan, warning
+}
+
+// fromLocals lists the donor-side local slots of reserved jobs.
+func fromLocals(jobs []shardlink.MigratedJob) []int {
+	locals := make([]int, len(jobs))
+	for i := range jobs {
+		locals[i] = jobs[i].FromLocal
+	}
+	return locals
 }
 
 // renumberRetired rewrites every non-active shard's machine indices into the
@@ -135,7 +209,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		// it would need a cross-process drain-and-migrate protocol this
 		// release does not have (ROADMAP: partial-fleet failure semantics).
 		// Refusing keeps the invariant that remote shards never retire, which
-		// the two-phase steal path relies on.
+		// steals onto and off worker shards rely on.
 		return resp, errors.New("server: live re-sharding is not supported with worker-hosted shards; restart the fleet to repartition")
 	}
 	if p == nil || len(p.Machines) == 0 {
@@ -254,9 +328,8 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// since, and extracting remaining fractions at that stale time would
 	// retroactively discard all of that work. Doing it here keeps the
 	// event-driven exact re-solves this can trigger out of the all-shards
-	// critical section below, exactly as stealFrom keeps them out of its
-	// two-shard section — the repeat catch-up inside the section then has
-	// at most the sliver since this one to cover.
+	// critical section below — the repeat catch-up inside the section then
+	// has at most the sliver since this one to cover.
 	for _, sh := range retiring {
 		sh.mu.Lock()
 		if !sh.closed && sh.lastErr == nil {
@@ -265,9 +338,8 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		sh.mu.Unlock()
 	}
 
-	// Lock every active shard in creation order — the same global
-	// acquisition order the steal protocol uses, so a racing steal and the
-	// reshard cannot deadlock.
+	// Lock every active shard in creation order — the global acquisition
+	// order every multi-shard lock sweep (this and snapshotLocked) uses.
 	byIdx := append([]*shard(nil), act...)
 	sort.Slice(byIdx, func(a, b int) bool { return byIdx[a].idx < byIdx[b].idx })
 	for _, sh := range byIdx {
@@ -288,11 +360,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// Atomic placement check before any mutation: every queued or live job
 	// on a retiring shard must fit somewhere on the new topology.
 	for _, donor := range retiring {
-		census := append([]*jobRecord(nil), donor.pending...)
-		for _, id := range donor.eng.LiveIDs() {
-			census = append(census, donor.records[id])
-		}
-		for _, rec := range census {
+		for _, rec := range donor.queuedAndLive() {
 			ok := false
 			for gi := range groups {
 				if hostsAny(groupMachines[gi], rec.databanks) {
@@ -400,82 +468,27 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		s.dur.append(walTypeTopo, topoRec)
 	}
 
-	// Migrate every queued and live job off the retiring shards, exactly as
-	// a steal would: donor record flips to migrated (its executed pieces
-	// stay, translated by the record), the destination gets a fresh record
-	// with the original global ID, flow origin, and exact remaining
-	// fraction, and the forwarding table points reads at the new owner.
-	// Destinations are chosen least-residual-work-first among the new
-	// topology's hosts, the same rule the router applies to submissions.
+	// Migrate every queued and live job off the retiring shards through the
+	// migration cores, exactly as a steal would: per donor one reserve of the
+	// whole shard (pending jobs first, then live ones in RemoveAll order),
+	// one adopt per destination, one commit. Every shard's mu is held, so
+	// the whole move is atomic to readers; a reshard never aborts.
 	resid := make(map[*shard]*big.Rat, len(gen2))
 	for _, sh := range gen2 {
 		resid[sh] = sh.residualWork()
 	}
-	//divflow:locks requires=shard
-	migrate := func(donor *shard, rec *jobRecord, remaining *big.Rat) {
-		donor.orphanRecord(rec)
-		donor.reshardOut++
-		// Like the router, a kept shard with a latched scheduling error only
-		// takes the job when no healthy host exists — a poisoned loop has
-		// the smallest backlog precisely because it stopped executing, and
-		// parking migrated jobs there would strand them silently. (Every
-		// shard's mu is held, so lastErr reads are stable; spawned shards
-		// are always healthy.)
-		var dest, destStalled *shard
-		for _, sh := range gen2 {
-			if !sh.hosts(rec.databanks) {
-				continue
-			}
-			if sh.lastErr != nil {
-				if destStalled == nil || resid[sh].Cmp(resid[destStalled]) < 0 {
-					destStalled = sh
-				}
-				continue
-			}
-			if dest == nil || resid[sh].Cmp(resid[dest]) < 0 {
-				dest = sh
-			}
-		}
-		if dest == nil {
-			dest = destStalled
-			if resp.Warning == "" {
-				resp.Warning = fmt.Sprintf(
-					"job %d migrated to stalled shard %d (no healthy shard hosts databanks %v): %v",
-					rec.gid, dest.idx, rec.databanks, dest.lastErr)
-			}
-		}
-		// dest is non-nil: the placement check above covered this record.
-		nrec := dest.adoptRecord(rec, remaining)
-		dest.reshardIn++
-		s.fwdMu.Lock()
-		s.forward[rec.gid] = fwdLoc{sh: dest, local: nrec.id}
-		s.fwdMu.Unlock()
-		// Logged with the recorded placement (never re-derived on replay) at
-		// the donor's exact engine time, which fixes the record's later
-		// compaction horizon. Every active shard's mu is held.
-		s.dur.appendMigrate(donor, dest, rec.id, nrec.id, rec.gid, remaining,
-			donor.eng.Now(), "reshard", false)
-		dest.obs.event(obs.EventMigrate, rec.gid, nil, fmt.Sprintf("resharded from shard %d", donor.idx))
-		resid[dest].Add(resid[dest], rec.size)
-		// Backlog conservation; one backlogMu at a time, never nested.
-		donor.backlogMu.Lock()
-		donor.backlog.Sub(donor.backlog, rec.size)
-		donor.backlogMu.Unlock()
-		dest.backlogMu.Lock()
-		dest.backlog.Add(dest.backlog, rec.size)
-		dest.backlogMu.Unlock()
-		resp.MigratedJobs++
-	}
 	for _, donor := range retiring {
 		donor.retired = true
-		pend := donor.pending
-		donor.pending = nil
-		for _, rec := range pend {
-			migrate(donor, rec, rec.remaining)
+		jobs, _ := donor.reserveLocked(donor.queuedAndLive(), false)
+		plan, warning := placeJobs(jobs, gen2, resid)
+		if resp.Warning == "" {
+			resp.Warning = warning
 		}
-		for _, br := range donor.eng.RemoveAll() {
-			migrate(donor, donor.records[br.ID], br.Job.Remaining)
+		for _, p := range plan {
+			p.dest.adoptLocked(shardlink.AdmitArgs{Jobs: p.jobs, Reason: migrateReshard, From: donor.idx})
 		}
+		donor.commitLocked(fromLocals(jobs), migrateReshard)
+		resp.MigratedJobs += len(jobs)
 		resp.RetiredShards = append(resp.RetiredShards, donor.idx)
 	}
 

@@ -687,3 +687,85 @@ func TestReshardUnderConcurrentTraffic(t *testing.T) {
 	}
 	validateServer(t, srv)
 }
+
+// TestReshardMovesTenantBacklog pins per-tenant residual work across a
+// structural reshard: the migrated jobs' sizes leave the retired shards'
+// tenant backlogs and join the destination's, so GET /v1/tenants (and the
+// quota check, which reads the same split) equals each tenant's unfinished
+// work on the new topology and falls to zero once it completes — live, and
+// after a crash-restore from the WAL.
+func TestReshardMovesTenantBacklog(t *testing.T) {
+	var ids []int
+	resharded := func(cfg Config) (*Server, *VirtualClock) {
+		t.Helper()
+		vc := NewVirtualClock()
+		cfg.Clock = vc
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = nil
+		for _, j := range []struct{ tenant, size, bank string }{
+			{"acme", "8", "bankA"}, {"zeta", "8", "bankA"}, {"zeta", "6", "bankA"}, {"acme", "2", "bankB"},
+		} {
+			resp, err := srv.Submit(&model.SubmitRequest{Size: j.size, Databanks: []string{j.bank}, Tenant: j.tenant})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, resp.ID)
+		}
+		srv.Start()
+		waitStats(t, srv, func(st model.StatsResponse) bool { return st.BatchedArrivals >= 4 })
+		vc.Advance(rat(2, 1))
+		waitStats(t, srv, func(st model.StatsResponse) bool { return st.JobsCompleted == 1 })
+		quiesce(t, srv, rat(2, 1))
+		if _, err := srv.Reshard(&model.Platform{Machines: replicatedFleet()}); err != nil {
+			t.Fatal(err)
+		}
+		quiesce(t, srv, rat(2, 1))
+		return srv, vc
+	}
+	check := func(srv *Server, want map[string]string) {
+		t.Helper()
+		unfinished := map[string]*big.Rat{"acme": new(big.Rat), "zeta": new(big.Rat)}
+		for _, id := range ids {
+			st, known := srv.jobStatus(id)
+			if !known {
+				t.Fatalf("job %d unknown", id)
+			}
+			if st.State != StateDone {
+				size, _ := new(big.Rat).SetString(st.Size)
+				unfinished[st.Tenant].Add(unfinished[st.Tenant], size)
+			}
+		}
+		for _, row := range srv.TenantStats().Tenants {
+			if row.Backlog != unfinished[row.Tenant].RatString() || row.Backlog != want[row.Tenant] {
+				t.Errorf("tenant %s backlog = %s, unfinished work %s, want %s",
+					row.Tenant, row.Backlog, unfinished[row.Tenant].RatString(), want[row.Tenant])
+			}
+		}
+		for _, sh := range srv.allShards() {
+			if _, _, tenants := sh.routeInfo(); sh.retired && len(tenants) != 0 {
+				t.Errorf("retired shard %d still carries tenant backlog %v", sh.idx, tenants)
+			}
+		}
+	}
+	pending := map[string]string{"acme": "8", "zeta": "14"}
+	drained := map[string]string{"acme": "0", "zeta": "0"}
+
+	live, vc := resharded(Config{Machines: islandFleet(), Policy: "srpt"})
+	defer live.Close()
+	check(live, pending)
+	drive(t, vc, func() bool { return live.Stats().JobsCompleted == 4 })
+	check(live, drained)
+
+	// The same run with a WAL, crashed right after the reshard settled.
+	cfg := Config{Machines: islandFleet(), Policy: "srpt", WALDir: t.TempDir()}
+	resharded(cfg)
+	srv, vc2 := reopenServer(t, cfg)
+	defer srv.Close()
+	check(srv, pending)
+	srv.Start()
+	drive(t, vc2, func() bool { return srv.Stats().JobsCompleted == 4 })
+	check(srv, drained)
+}

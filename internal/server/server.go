@@ -180,8 +180,8 @@ type Config struct {
 	// Workers maps startup-partition positions to worker addresses
 	// (divflowd -worker listeners): shard pos of the initial topology is
 	// provisioned inside that process and driven entirely over net/rpc.
-	// Incompatible with WALDir (two-phase migrations are not write-ahead
-	// logged, so a replay would diverge) and with live re-sharding.
+	// Incompatible with WALDir (a worker shard's state lives in the worker
+	// process, out of reach of the router's log) and with live re-sharding.
 	Workers map[int]string
 	// Admission selects the deadline-admission mode every shard runs
 	// (the -admission flag): shardlink.AdmissionStrict (the default, "" too)
@@ -282,10 +282,11 @@ type Server struct {
 
 	// forward maps the global ID of every migrated job to its current
 	// location; IDs never migrated resolve arithmetically through their
-	// birth generation. Entries are written under both involved shards' mus
-	// (see stealFrom) or under every active shard's mu (Reshard), so a read
-	// that misses the table and lands on the donor mid-migration finds the
-	// table updated by the time the donor's mu is free.
+	// birth generation. Entries are written by the adopt core under the
+	// destination's mu, before the donor commits: until then the donor's
+	// reserved record still answers at its pre-move state, so a read that
+	// misses the table and lands on the donor mid-migration either finds
+	// the job there or finds it migrated with the table already updated.
 	//divflow:locks name=fwd before=backlog
 	fwdMu   sync.RWMutex
 	forward map[int]fwdLoc
@@ -334,12 +335,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: unknown transport %q (want %q or %q)",
 			cfg.Transport, shardlink.TransportInproc, shardlink.TransportRPC)
 	}
-	if cfg.WALDir != "" && (transport == shardlink.TransportRPC || len(cfg.Workers) > 0) {
-		// Two-phase migrations deliberately bypass the WAL (reserve/commit
-		// spans processes; logging either side alone would replay into a state
-		// neither process was ever in), so durability and the rpc transport
-		// exclude each other rather than silently diverge on restore.
-		return nil, errors.New("server: WALDir is incompatible with the rpc transport and worker shards")
+	if cfg.WALDir != "" && len(cfg.Workers) > 0 {
+		// A worker-hosted shard's state lives in the worker process, out of
+		// reach of the router's log: a restore would rebuild a fleet missing
+		// that shard's history.
+		return nil, errors.New("server: WALDir is incompatible with worker shards")
 	}
 	for pos := range cfg.Workers {
 		if pos < 0 || pos >= len(groups) {
@@ -496,6 +496,11 @@ func (s *Server) wireShard(sh *shard) *shard {
 		sh.restart = func() bool { return s.restartShard(sh) }
 	}
 	sh.wal = s.dur
+	sh.setForward = func(gid, local int) {
+		s.fwdMu.Lock()
+		s.forward[gid] = fwdLoc{sh: sh, local: local}
+		s.fwdMu.Unlock()
+	}
 	sh.dropForward = s.dropForward
 	sh.obs = s.tel.newShardObs(sh)
 	if sh.mwf != nil {

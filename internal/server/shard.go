@@ -52,8 +52,9 @@ type jobRecord struct {
 	// re-)admitted.
 	counted bool
 	// migratedAt, on a donor-side record, is the engine time the job was
-	// stolen away: every donor piece of the job ends at or before it, so
-	// once the retention horizon passes it the record can be compacted.
+	// reserved away (an abort clears it): every donor piece of the job ends
+	// at or before it, so once the retention horizon passes it the migrated
+	// record can be compacted.
 	migratedAt *big.Rat
 	// submittedWall is the wall-clock submission instant, feeding the
 	// submit→admit latency histogram; zero with telemetry disabled (the
@@ -72,8 +73,8 @@ type shard struct {
 	// idx is the shard's immutable creation index: unique across the whole
 	// life of the server (re-sharding keeps spawning shards with fresh
 	// indices), it names the shard in stats and errors and fixes the global
-	// mutex-acquisition order for multi-shard operations (steals and
-	// reshards lock mus in ascending idx).
+	// mutex-acquisition order for multi-shard operations (reshards and
+	// snapshots lock mus in ascending idx).
 	idx int
 
 	clock    Clock
@@ -164,8 +165,10 @@ type shard struct {
 	// migratedIDs lists donor-side records awaiting retention compaction
 	// (Engine.Compact cannot return them: the engine no longer knows them).
 	migratedIDs []int
-	// dropForward, when non-nil, releases the server's forwarding-table
-	// entry for a compacted stolen record's global ID.
+	// setForward and dropForward, when non-nil, point the server's
+	// forwarding table at this shard's local slot for a global ID (the adopt
+	// core) and release the entry of a compacted stolen record.
+	setForward  func(gid, local int)
 	dropForward func(gid int)
 	// link is the router's transport handle on this shard: every piece of
 	// router-side traffic — submits, job reads, trace windows, stats,
@@ -658,22 +661,6 @@ func (sh *shard) checkDeadline(args shardlink.CheckDeadlineArgs) shardlink.Check
 	}
 }
 
-// orphanRecord flips a donor-side record to the migrated state after its job
-// was extracted (stolen or resharded away): eligibility scrubbed, the
-// migration time stamped — every donor piece of the job ends by it, so
-// retention can compact the record once the horizon passes — and the record
-// queued for that compaction. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) orphanRecord(rec *jobRecord) {
-	for i := range sh.eligible {
-		delete(sh.eligible[i], rec.id)
-	}
-	rec.state = StateMigrated
-	rec.migratedAt = sh.eng.Now()
-	sh.migratedIDs = append(sh.migratedIDs, rec.id)
-}
-
 // adoptRecord creates the destination-side record of a migrated job: a fresh
 // local slot under the original global ID, flow origin, and exact remaining
 // fraction, queued for admission at the shard's next wake-up. counted
@@ -681,31 +668,31 @@ func (sh *shard) orphanRecord(rec *jobRecord) {
 // once no matter how often it moves. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) adoptRecord(rec *jobRecord, remaining *big.Rat) *jobRecord {
-	nrec := &jobRecord{
+func (sh *shard) adoptRecord(mj shardlink.MigratedJob) *jobRecord {
+	rec := &jobRecord{
 		id:        len(sh.records),
-		gid:       rec.gid, // the global ID survives the move
-		name:      rec.name,
-		weight:    copyRat(rec.weight),
-		size:      copyRat(rec.size),
-		databanks: rec.databanks,
+		gid:       mj.GID, // the global ID survives the move
+		name:      mj.Name,
+		weight:    copyRat(mj.Weight),
+		size:      copyRat(mj.Size),
+		databanks: mj.Databanks,
 		state:     StateQueued,
-		release:   copyRat(rec.release), // flow origin: still the first submission
-		remaining: copyRat(remaining),
-		deadline:  copyRat(rec.deadline),
-		tenant:    rec.tenant,
-		slaClass:  rec.slaClass,
+		release:   copyRat(mj.Release), // flow origin: still the first submission
+		remaining: copyRat(mj.Remaining),
+		deadline:  copyRat(mj.Deadline),
+		tenant:    mj.Tenant,
+		slaClass:  mj.SLAClass,
 		stolen:    true,
-		counted:   rec.counted,
+		counted:   mj.Counted,
 	}
-	sh.records = append(sh.records, nrec)
-	sh.pending = append(sh.pending, nrec)
+	sh.records = append(sh.records, rec)
+	sh.pending = append(sh.pending, rec)
 	for i := range sh.machines {
-		if sh.machines[i].Hosts(nrec.databanks) {
-			sh.eligible[i][nrec.id] = true
+		if sh.machines[i].Hosts(rec.databanks) {
+			sh.eligible[i][rec.id] = true
 		}
 	}
-	return nrec
+	return rec
 }
 
 // residualWork returns the shard's current backlog (a copy): the routing
@@ -778,9 +765,10 @@ func (sh *shard) loop() {
 			return
 		}
 
-		// The steal call runs outside mu: it locks donor and thief shards in
-		// index order, which must not nest inside an already-held mu. The
-		// restart hook runs outside mu for the same reason (it re-takes it).
+		// The steal call runs outside mu: its migration ops take the donor's
+		// and this shard's mu in turn, which must not nest inside an
+		// already-held mu. The restart hook runs outside mu for the same
+		// reason (it re-takes it).
 		if res.idle && sh.steal != nil && sh.steal() {
 			continue
 		}

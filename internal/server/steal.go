@@ -19,17 +19,10 @@ import (
 // piece of work already executed; the forwarding table makes the move
 // invisible on the wire.
 
-// stealItem is one candidate job for migration out of a donor shard.
-type stealItem struct {
-	rec  *jobRecord
-	work *big.Rat // size · remaining: the exact work that would move
-	live bool     // live in the donor engine (vs still pending)
-}
-
 // stealFor migrates work onto an idle thief shard, trying donors in order
 // of decreasing backlog. It reports whether any job moved. Donors come from
 // the *active* topology: retired shards have nothing left to give, and a
-// retired thief is rejected inside the locked critical section.
+// retired thief refuses the adopt.
 func (s *Server) stealFor(thief *shard) bool {
 	type cand struct {
 		sh   *shard
@@ -64,291 +57,43 @@ func (s *Server) stealFor(thief *shard) bool {
 }
 
 // stealFrom moves up to half of the donor's jobs — those the thief can host,
-// largest remaining work first — onto the thief. When both shards sit behind
-// the in-process transport the migration runs as one dual-mutex critical
-// section (stealInProc, today's behavior bit-for-bit); any other transport
-// pairing runs the two-phase reserve→commit message exchange instead, which
-// never holds two shard locks at once.
-func (s *Server) stealFrom(thief, donor *shard) bool {
-	if thief.link.Transport() == shardlink.TransportInproc &&
-		donor.link.Transport() == shardlink.TransportInproc {
-		return s.stealInProc(thief, donor)
-	}
-	return s.stealMessaged(thief, donor)
-}
-
-// stealInProc is the in-process migration: the whole exchange runs under
-// both shards' mus, locked in index order (the global acquisition order, so
-// concurrent steals in opposite directions cannot deadlock): extraction,
-// insertion, the forwarding-table update, and the backlog transfer are one
-// atomic step as far as every reader is concerned.
-//
-//divflow:locks ascending=shard
-func (s *Server) stealInProc(thief, donor *shard) bool {
-	// Timed end to end — donor catch-up included, since that catch-up (and
-	// any exact re-solve it triggers) is the real cost of a steal.
-	start := s.tel.now()
-	// Catch the donor up to the present first, under its mu alone: its
-	// engine may be asleep at its last event with an allocation that has
-	// been (notionally) executing since — extracting remaining fractions at
-	// that stale time would retroactively discard all of that work. Doing
-	// it here also keeps any event-driven re-solve out of the two-shard
-	// critical section.
-	donor.mu.Lock()
-	if !donor.closed && donor.lastErr == nil {
-		donor.catchUp()
-	}
-	donor.mu.Unlock()
-
-	first, second := thief, donor
-	if donor.idx < thief.idx {
-		first, second = donor, thief
-	}
-	first.mu.Lock()
-	second.mu.Lock()
-	moved := s.stealLocked(thief, donor)
-	// The thief's mu is released first (release order is free; only the
-	// acquisition order matters): the donor's re-plan below may be a whole
-	// exact LP solve, and the thief — whose loop wants to admit the jobs it
-	// just stole — must not wait behind it.
-	thief.mu.Unlock()
-	// Re-plan the donor while still under its mu: the extraction invalidated
-	// its plan cache (Engine.Remove), and without a fresh decision the
-	// machines that ran the stolen jobs would idle until the donor's next
-	// natural event.
-	if moved != nil && moved.removedLive && donor.lastErr == nil {
-		donor.decide()
-	}
-	donor.mu.Unlock()
-	if moved == nil {
-		return false
-	}
-	if !start.IsZero() {
-		thief.obs.steal.Observe(thief.obs.sinceSeconds(start))
-	}
-	// The donor's next event changed (stolen completions vanished): wake its
-	// loop so it re-arms its timer instead of sleeping toward a stale one.
-	donor.poke()
-	return true
-}
-
-// stealOutcome reports what stealLocked moved.
-type stealOutcome struct {
-	removedLive bool
-	moved       int
-}
-
-// stealLocked is the critical section of a migration. Callers hold both
-// shards' mus.
-//
-//divflow:locks requires=shard ascending=backlog
-func (s *Server) stealLocked(thief, donor *shard) *stealOutcome {
-	// The thief must still be an idle, healthy, open, *active* shard: a
-	// submission may have raced in while the locks were acquired, and
-	// stealing onto a shard that already has work (or can never schedule it)
-	// helps nobody. A closed donor is off limits too — during Server.Close a
-	// still-running shard must not extract live jobs from an already-drained
-	// one just to have its own close() mark them rejected — and so is either
-	// side of a racing reshard: a retired thief's loop is about to stop, and
-	// a retired donor's jobs are already being migrated by the reshard
-	// itself.
-	if thief.closed || donor.closed || thief.retired || donor.retired ||
-		thief.lastErr != nil || thief.eng.Live() > 0 || len(thief.pending) > 0 {
-		return nil
-	}
-	items := donor.stealCensus(thief.hosts)
-	if len(items) == 0 {
-		return nil
-	}
-
-	out := &stealOutcome{}
-	movedSize := new(big.Rat)
-	movedTenants := make(map[string]*big.Rat)
-	type movedJob struct {
-		fromLocal, toLocal, gid int
-		remaining               *big.Rat
-	}
-	var movedJobs []movedJob
-	for _, it := range items {
-		rec := it.rec
-		remaining := rec.remaining
-		if it.live {
-			rj, err := donor.eng.Remove(rec.id)
-			if err != nil {
-				// Unreachable while the live census is taken under the same
-				// lock; skip rather than poison the migration.
-				continue
-			}
-			remaining = rj.Remaining
-			out.removedLive = true
-		} else {
-			pending := donor.pending[:0]
-			for _, p := range donor.pending {
-				if p != rec {
-					pending = append(pending, p)
-				}
-			}
-			donor.pending = pending
-		}
-		fromLocal := rec.id
-		donor.orphanRecord(rec)
-		donor.migratedOut++
-		nrec := thief.adoptRecord(rec, remaining)
-		thief.stolenIn++
-		s.fwdMu.Lock()
-		s.forward[rec.gid] = fwdLoc{sh: thief, local: nrec.id}
-		s.fwdMu.Unlock()
-		out.moved++
-		movedJobs = append(movedJobs, movedJob{fromLocal: fromLocal, toLocal: nrec.id, gid: rec.gid, remaining: copyRat(remaining)})
-		thief.obs.event(obs.EventMigrate, rec.gid, nil, fmt.Sprintf("stolen from shard %d", donor.idx))
-		movedSize.Add(movedSize, rec.size)
-		if rec.tenant != "" {
-			if movedTenants[rec.tenant] == nil {
-				movedTenants[rec.tenant] = new(big.Rat)
-			}
-			movedTenants[rec.tenant].Add(movedTenants[rec.tenant], rec.size)
-		}
-	}
-	if movedSize.Sign() == 0 {
-		return nil
-	}
-	// The whole batch is logged under both mus, at the donor's exact engine
-	// time of the extraction; the last record carries the decide flag when the
-	// caller will re-plan the donor, so replay reproduces that single decision.
-	for i, mj := range movedJobs {
-		s.dur.appendMigrate(donor, thief, mj.fromLocal, mj.toLocal, mj.gid, mj.remaining,
-			donor.eng.Now(), "steal", i == len(movedJobs)-1 && out.removedLive)
-	}
-	// The backlog transfer is atomic with respect to the router: both
-	// backlogMus are held (index order again) while the sizes move, so the
-	// fleet-wide residual work is conserved at every instant.
-	a, b := thief, donor
-	if donor.idx < thief.idx {
-		a, b = donor, thief
-	}
-	a.backlogMu.Lock()
-	b.backlogMu.Lock()
-	donor.backlog.Sub(donor.backlog, movedSize)
-	thief.backlog.Add(thief.backlog, movedSize)
-	for t, v := range movedTenants {
-		donor.tenantBacklogSub(t, v)
-		thief.tenantBacklogAdd(t, v)
-	}
-	b.backlogMu.Unlock()
-	a.backlogMu.Unlock()
-	// Journaled under both mus: the thief's generation read is stable and
-	// the event lands before any reader can see the post-steal topology.
-	thief.obs.event(obs.EventSteal, -1, donor.eng.Now(),
-		fmt.Sprintf("%d jobs from shard %d", out.moved, donor.idx))
-	return out
-}
-
-// stealCensus takes the census of the shard's stealable jobs — everything
-// pending or live that the host predicate accepts — and selects the
-// migration set: largest remaining work first (ties to the oldest job), and
-// never more than half the shard's jobs, so the donor keeps at least as much
-// as it gives away. Both migration paths (the locked in-process steal and
-// the two-phase message exchange) select through this one helper, so a steal
-// moves exactly the same jobs no matter which transport carries it. Callers
-// hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) stealCensus(hosts func([]string) bool) []stealItem {
-	// The census counts everything pending plus everything live — including
-	// jobs the thief cannot host, which still anchor the half-rule below.
-	total := len(sh.pending) + sh.eng.Live()
-	if total < 2 {
-		// A donor running its only job gains nothing from losing it; moving
-		// it would just relocate the same serial work (and invite the donor
-		// to steal it straight back).
-		return nil
-	}
-	var items []stealItem
-	for _, rec := range sh.pending {
-		if !hosts(rec.databanks) {
-			continue
-		}
-		work := new(big.Rat).Set(rec.size)
-		if rec.remaining != nil {
-			work.Mul(work, rec.remaining)
-		}
-		items = append(items, stealItem{rec: rec, work: work})
-	}
-	for _, id := range sh.eng.LiveIDs() {
-		rec := sh.records[id]
-		if !hosts(rec.databanks) {
-			continue
-		}
-		work := new(big.Rat).Mul(rec.size, sh.eng.Remaining(id))
-		items = append(items, stealItem{rec: rec, work: work, live: true})
-	}
-	if len(items) == 0 {
-		return nil
-	}
-	sort.SliceStable(items, func(a, b int) bool {
-		if c := items[a].work.Cmp(items[b].work); c != 0 {
-			return c > 0
-		}
-		return items[a].rec.id < items[b].rec.id
-	})
-	k := total / 2
-	if k > len(items) {
-		k = len(items)
-	}
-	return items[:k]
-}
-
-// stealMessaged is the transport-agnostic migration: a two-phase
-// reserve→commit exchange of shardlink messages that never holds two shard
-// mutexes at once, so it works identically whether the donor is a goroutine
-// away or a process away. The donor reserves the extracted jobs (out of its
-// engine, still readable at their pre-move state — no not-found window on
-// the wire); the thief adopts them or, if it went busy/retired while the
-// messages were in flight, the donor takes them back; the forwarding table
-// is updated before the donor's records flip to migrated, so a read chasing
-// a moved gid always lands somewhere that knows it.
+// largest remaining work first — onto the thief, through the migration ops
+// on the two shards' links: the donor reserves the jobs, the thief adopts
+// them (or, if it went busy or retired while the messages were in flight,
+// the donor takes them back), and the donor commits. No moment holds two
+// shard mutexes, so the exchange works the same whether the donor is a
+// goroutine away or a process away.
 //
 // The exchange runs under a reshardMu TryLock: retired/closed only flip
 // under reshardMu, so holding it pins both shards' dispositions across the
-// multi-message window (the dual-mutex path gets the same stability from
-// its locks alone). TryLock, not Lock — a shard loop must never block
-// behind a reshard, and skipping one steal attempt is free.
-func (s *Server) stealMessaged(thief, donor *shard) bool {
+// multi-message window, and it keeps every snapshot (which takes reshardMu
+// too) off a half-done migration. TryLock, not Lock — a shard loop must
+// never block behind a reshard, and skipping one steal attempt is free.
+func (s *Server) stealFrom(thief, donor *shard) bool {
 	if !s.reshardMu.TryLock() {
 		return false
 	}
 	defer s.reshardMu.Unlock()
-	// Timed end to end, like the in-process path: the donor-side catch-up
-	// and any re-solve it triggers are the real cost of a steal.
+	// Timed end to end: the donor-side catch-up and any re-solve it
+	// triggers are the real cost of a steal.
 	start := s.tel.now()
 	ex, err := donor.link.ExtractJobs(shardlink.ExtractArgs{ThiefMachines: thief.machines})
 	if err != nil || len(ex.Jobs) == 0 {
 		return false
 	}
-	fromLocals := make([]int, len(ex.Jobs))
-	for i := range ex.Jobs {
-		fromLocals[i] = ex.Jobs[i].FromLocal
-	}
-	ad, aerr := thief.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: ex.Jobs, Reason: migrateSteal})
+	locals := fromLocals(ex.Jobs)
+	ad, aerr := thief.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: ex.Jobs, Reason: migrateSteal, From: donor.idx})
 	if aerr != nil || !ad.Accepted || len(ad.Locals) != len(ex.Jobs) {
 		// Give-back: the donor re-queues the reserved jobs with their exact
 		// remaining fractions; no work was lost or duplicated.
-		_ = donor.link.AbortExtract(shardlink.AbortArgs{Locals: fromLocals})
+		_ = donor.link.AbortExtract(shardlink.AbortArgs{Locals: locals})
 		return false
 	}
-	// Forwarding entries land before the donor commits: between the admit
-	// and the commit the job is readable on the donor (pre-move state) and
-	// resolvable to the thief, never on neither.
-	s.fwdMu.Lock()
-	for i := range ex.Jobs {
-		s.forward[ex.Jobs[i].GID] = fwdLoc{sh: thief, local: ad.Locals[i]}
-	}
-	s.fwdMu.Unlock()
-	if err := donor.link.CommitExtract(shardlink.CommitArgs{Locals: fromLocals}); err != nil {
-		// The transport died between admit and commit: the thief owns the
+	if err := donor.link.CommitExtract(shardlink.CommitArgs{Locals: locals}); err != nil {
+		// The transport died between adopt and commit: the thief owns the
 		// jobs (the forwarding table already says so); the donor keeps
-		// reserved records it will re-orphan on its next extraction attempt.
-		// Nothing to unwind that would not lose work.
+		// reserved records that never run again. Nothing to unwind that
+		// would not lose work.
 		s.tel.event(obs.EventShardStall, -1, -1,
 			fmt.Sprintf("steal commit to shard %d failed: %v", donor.idx, err))
 	}
@@ -360,4 +105,72 @@ func (s *Server) stealMessaged(thief, donor *shard) bool {
 	_ = donor.link.Poke(shardlink.PokeArgs{})
 	_ = thief.link.Poke(shardlink.PokeArgs{})
 	return true
+}
+
+// stealCensus takes the census of the shard's stealable jobs — everything
+// pending or live that the host predicate accepts — and selects the
+// migration set: largest remaining work first (ties to the oldest job), and
+// never more than half the shard's jobs, so the donor keeps at least as much
+// as it gives away. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) stealCensus(hosts func([]string) bool) []*jobRecord {
+	// The census counts everything pending plus everything live — including
+	// jobs the thief cannot host, which still anchor the half-rule below.
+	total := len(sh.pending) + sh.eng.Live()
+	if total < 2 {
+		// A donor running its only job gains nothing from losing it; moving
+		// it would just relocate the same serial work (and invite the donor
+		// to steal it straight back).
+		return nil
+	}
+	type item struct {
+		rec  *jobRecord
+		work *big.Rat // size · remaining: the exact work that would move
+	}
+	var items []item
+	for _, rec := range sh.pending {
+		if !hosts(rec.databanks) {
+			continue
+		}
+		work := new(big.Rat).Set(rec.size)
+		if rec.remaining != nil {
+			work.Mul(work, rec.remaining)
+		}
+		items = append(items, item{rec, work})
+	}
+	for _, id := range sh.eng.LiveIDs() {
+		rec := sh.records[id]
+		if !hosts(rec.databanks) {
+			continue
+		}
+		items = append(items, item{rec, new(big.Rat).Mul(rec.size, sh.eng.Remaining(id))})
+	}
+	sort.SliceStable(items, func(a, b int) bool {
+		if c := items[a].work.Cmp(items[b].work); c != 0 {
+			return c > 0
+		}
+		return items[a].rec.id < items[b].rec.id
+	})
+	recs := make([]*jobRecord, 0, total/2)
+	for _, it := range items {
+		if len(recs) == total/2 {
+			break
+		}
+		recs = append(recs, it.rec)
+	}
+	return recs
+}
+
+// queuedAndLive lists every job the shard still owes work on: the pending
+// queue in order, then the live jobs in engine (RemoveAll) order. Callers
+// hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) queuedAndLive() []*jobRecord {
+	recs := append([]*jobRecord(nil), sh.pending...)
+	for _, id := range sh.eng.LiveIDs() {
+		recs = append(recs, sh.records[id])
+	}
+	return recs
 }

@@ -19,9 +19,10 @@ import (
 // through one table-driven harness. The in-process transport must stay
 // bit-for-bit the pre-shardlink behavior; the loopback rpc transport runs
 // the same local shards but routes every router↔shard operation through a
-// full net/rpc+gob round-trip (and migrations through the two-phase
-// reserve→commit exchange), and must reproduce the same exact traces,
-// times, and fractions — the equivalence suite's transport dimension.
+// full net/rpc+gob round-trip (migrations included: every steal runs the
+// reserve→adopt→commit exchange over its transport), and must reproduce
+// the same exact traces, times, and fractions — the equivalence suite's
+// transport dimension.
 var transportAxis = []string{shardlink.TransportInproc, shardlink.TransportRPC}
 
 // TestTransportSingleShardEquivalence is the P=1 pin on the transport axis:
@@ -104,8 +105,8 @@ func testTransportSingleShard(t *testing.T, policy, transport string) {
 
 // TestTransportStealScenario replays the exact half-executed-job migration
 // scenario of TestStealMigratesHalfExecutedJob on both transports: under
-// rpc the steal runs as the two-phase reserve→commit message exchange, and
-// every time, fraction, and ID must still come out identical — D@2, B@3,
+// rpc the steal's reserve→adopt→commit messages cross gob, and every
+// time, fraction, and ID must still come out identical — D@2, B@3,
 // A stolen with exactly 1/2 remaining and done @6, C@12.
 func TestTransportStealScenario(t *testing.T) {
 	for _, tr := range transportAxis {

@@ -47,9 +47,28 @@ func (s *Server) dialWorker(sh *shard, addr, policy string) error {
 		return fmt.Errorf("server: install shard %d on worker %s: %w", sh.idx, addr, err)
 	}
 	sh.remote = true
-	sh.link = newRPCLink(s.tel, client, fmt.Sprintf("Shard%d", sh.idx))
+	sh.link = workerLink{newRPCLink(s.tel, client, fmt.Sprintf("Shard%d", sh.idx)), sh}
 	s.rpcConns = append(s.rpcConns, client)
 	return nil
+}
+
+// workerLink is the router's link to a worker-hosted shard: the plain rpc
+// link, except that an accepted adopt also points the router's forwarding
+// table at the jobs' new slots — the adopt core that does so for a local
+// shard runs in the worker, which cannot reach the table.
+type workerLink struct {
+	*rpcLink
+	sh *shard
+}
+
+func (l workerLink) AdmitMigrated(args shardlink.AdmitArgs) (shardlink.AdmitReply, error) {
+	rep, err := l.rpcLink.AdmitMigrated(args)
+	if err == nil && rep.Accepted && len(rep.Locals) == len(args.Jobs) {
+		for i := range args.Jobs {
+			l.sh.setForward(args.Jobs[i].GID, rep.Locals[i])
+		}
+	}
+	return rep, err
 }
 
 // workerRPC is the "Worker" RPC service: shard provisioning. The shards it

@@ -238,10 +238,12 @@ type ExtractReply struct {
 
 // AdmitArgs asks the destination shard to adopt extracted jobs. Reason
 // ("steal" or "reshard") selects which migration counter the destination
-// bumps.
+// bumps; From is the donor's creation index, which the destination's
+// journal events name.
 type AdmitArgs struct {
 	Jobs   []MigratedJob
 	Reason string
+	From   int
 }
 
 // AdmitReply reports adoption. Accepted=false (the destination retired or
@@ -250,13 +252,13 @@ type AdmitArgs struct {
 type AdmitReply struct {
 	Accepted bool
 	// Locals are the destination-side local slots, parallel to AdmitArgs.Jobs;
-	// the router writes them into the forwarding table before committing.
+	// the forwarding table points at them before the donor commits.
 	Locals []int
 }
 
 // CommitArgs finishes a two-phase migration on the donor: the reserved
 // records flip to the migrated state (readable only through the forwarding
-// table the router has already updated) and the moved work leaves the
+// table the adopt has already updated) and the moved work leaves the
 // donor's backlog.
 type CommitArgs struct {
 	Locals []int // donor-side local slots from ExtractReply
@@ -315,9 +317,9 @@ type Link interface {
 	RouteInfo(RouteInfoArgs) (RouteInfoReply, error)
 	Poke(PokeArgs) error
 
-	// Two-phase migration (reserve → commit, with abort as the give-back
-	// path). The transports replace the dual-mutex steal critical section
-	// with this exchange when either side is not an in-process engine.
+	// Two-phase migration (reserve → adopt → commit, with abort as the
+	// give-back path): every steal on every transport runs this exchange,
+	// which never needs two shards' locks at once.
 	ExtractJobs(ExtractArgs) (ExtractReply, error)
 	AdmitMigrated(AdmitArgs) (AdmitReply, error)
 	CommitExtract(CommitArgs) error
