@@ -47,46 +47,20 @@ func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedu
 		}
 	}
 
-	// Epochal times: every release, every fixed deadline, job k's affine
-	// deadline d̄_k(F) = F, and the same horizon DeadlineFeasible uses so
-	// deadline-free jobs always fit after the last release.
+	// Epochal times: every release, every fixed deadline, and the same
+	// horizon DeadlineFeasible uses so deadline-free jobs always fit after
+	// the last release.
 	fk := affine.New(new(big.Rat), big.NewRat(1, 1))
-	var times []affine.Form
-	horizon := new(big.Rat)
-	for j := range inst.Jobs {
-		times = append(times, affine.Const(inst.Jobs[j].Release))
-		if inst.Jobs[j].Release.Cmp(horizon) > 0 {
-			horizon.Set(inst.Jobs[j].Release)
-		}
-	}
-	span := new(big.Rat)
-	for j := range inst.Jobs {
-		var best *big.Rat
-		for _, i := range inst.EligibleMachines(j) {
-			c, _ := inst.Cost(i, j)
-			if best == nil || c.Cmp(best) < 0 {
-				best = c
-			}
-		}
-		span.Add(span, best)
-	}
-	horizon.Add(horizon, span)
+	times := epochalTimes(inst, deadlines, k)
 	dls := make([]*affine.Form, inst.N())
 	for j, d := range deadlines {
 		if j == k {
 			dls[j] = &fk
-			continue
-		}
-		if d != nil {
+		} else if d != nil {
 			f := affine.Const(d)
 			dls[j] = &f
-			times = append(times, f)
-			if d.Cmp(horizon) > 0 {
-				horizon.Set(d)
-			}
 		}
 	}
-	times = append(times, affine.Const(horizon))
 
 	// Milestones of this search: the values of F where d̄_k(F) = F crosses a
 	// constant epochal time τ, i.e. F = τ. F must exceed job k's release (a
@@ -160,18 +134,8 @@ func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedu
 			loIdx = mid + 1
 		}
 	}
-	if loIdx != len(ranges)-1 {
-		// The binary search may finish on a range it never solved (hiIdx
-		// moved down past solved midpoints); re-solve the winning range so
-		// best is its minimum, not a looser range's.
-		sol, err := solveOne(loIdx)
-		if err != nil {
-			return nil, err
-		}
-		if sol == nil {
-			return nil, fmt.Errorf("core: leftmost feasible range %v unexpectedly infeasible", ranges[loIdx])
-		}
-		best.Set(sol.F)
-	}
+	// hiIdx only ever moves to a range just solved and found feasible, and
+	// best is set from that solve, so best is already the winning range's
+	// minimum.
 	return best, nil
 }

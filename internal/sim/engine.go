@@ -132,7 +132,8 @@ func (e *Engine) Add(id int, release, weight, size *big.Rat) error {
 // Remove and migrated here. remaining must be in (0, 1]; nil means 1 (a
 // whole job, identical to Add). The release keeps the job's original flow
 // origin, so flow and stretch stay measured from first submission no matter
-// how many engines the job crosses.
+// how many engines the job crosses. A plan-caching policy's plan is
+// invalidated: it was computed without this job.
 func (e *Engine) AddPartial(id int, release, weight, size, remaining *big.Rat) error {
 	if _, dup := e.jobs[id]; dup {
 		return fmt.Errorf("sim: duplicate job id %d", id)
@@ -170,6 +171,7 @@ func (e *Engine) AddPartial(id int, release, weight, size, remaining *big.Rat) e
 		j.size = new(big.Rat).Set(size)
 	}
 	e.jobs[id] = j
+	e.invalidatePlan()
 	e.order = append(e.order, id)
 	sort.SliceStable(e.order, func(a, b int) bool {
 		ja, jb := e.jobs[e.order[a]], e.jobs[e.order[b]]
@@ -237,12 +239,21 @@ type RemovedJob struct {
 	Remaining *big.Rat
 }
 
-// PlanInvalidator is implemented by policies whose cached plan is keyed to
-// the live job set (OnlineMWF's lazy plan cache). Remove calls it so a stale
-// plan piece for a vanished job can never be followed — the residual
-// fingerprint would already reject such a plan, but removal makes the
-// invalidation unconditional rather than an emergent property.
+// PlanInvalidator is implemented by policies that cache a plan of the
+// residual workload (OnlineMWF's lazy plan cache). The engine is the only
+// authority on that plan's validity: Add, AddPartial, Remove and RemoveAll
+// call InvalidatePlan, because arrivals and removals are the only changes
+// to the live job set a plan cannot predict. Everything else — completions,
+// review points, mid-piece catch-ups — is exact execution of the plan. A
+// policy that wraps a plan-caching one must forward the call.
 type PlanInvalidator interface{ InvalidatePlan() }
+
+// invalidatePlan tells a plan-caching policy that the live job set changed.
+func (e *Engine) invalidatePlan() {
+	if inv, ok := e.policy.(PlanInvalidator); ok {
+		inv.InvalidatePlan()
+	}
+}
 
 // Remove extracts a live job from the engine: the job disappears from the
 // policy-visible set and from the current allocation, while the executed
@@ -273,9 +284,7 @@ func (e *Engine) Remove(id int) (*RemovedJob, error) {
 			}
 		}
 	}
-	if inv, ok := e.policy.(PlanInvalidator); ok {
-		inv.InvalidatePlan()
-	}
+	e.invalidatePlan()
 	e.migrations++
 	// Ownership transfer, not aliasing: the job is deleted from the engine
 	// below, so the extracted record becomes the rats' only owner.
@@ -332,9 +341,7 @@ func (e *Engine) RemoveAll() []BulkRemoved {
 		}
 		e.alloc.Review = nil
 	}
-	if inv, ok := e.policy.(PlanInvalidator); ok {
-		inv.InvalidatePlan()
-	}
+	e.invalidatePlan()
 	e.migrations += len(out)
 	return out
 }

@@ -33,30 +33,23 @@ type OnlineMWF struct {
 	// a journal append, not I/O. Unlike the counters below it survives
 	// Reset: it describes where telemetry goes, not per-run state.
 	Observer MWFObserver
-	// LazyResolve, when set, caches the plan of the last solve and skips
-	// the exact solver at every later event whose residual workload matches
-	// what the plan predicted for that time — an ablation of the re-solve
-	// frequency, and the plan cache of the divflowd scheduling service.
-	// Because the cached plan was optimal and execution is exact, the
-	// fingerprint matches at every event except new arrivals (and any
-	// external perturbation of the workload), so this changes nothing on
-	// arrival-free suffixes but saves most of the LP solves.
+	// LazyResolve, when set, caches the plan of the last solve and follows
+	// it at every later event until the engine invalidates it — an ablation
+	// of the re-solve frequency, and the plan cache of the divflowd
+	// scheduling service. Execution is exact and follows the plan, so
+	// completions, review points and mid-piece catch-ups are all predicted
+	// by it; only arrivals and removals change the residual workload behind
+	// its back, and the engine reports both through PlanInvalidator. This
+	// changes nothing on arrival-free suffixes but saves most of the LP
+	// solves.
 	LazyResolve bool
 
 	// err records an inner-solver failure; the policy then idles, which
 	// the simulator reports as a stall carrying this error's context.
 	err error
 	// plan is the schedule computed at the last solve (absolute times,
-	// jobs identified by real IDs); used only with LazyResolve.
+	// jobs identified by real IDs); nil once the engine invalidates it.
 	plan []planPiece
-	// known tracks the job IDs seen by the last solve.
-	known map[int]bool
-	// solveAt and solveRem fingerprint the residual workload the cached
-	// plan was computed for: the solve time and every job's remaining
-	// fraction at that time. Later events are matched against the plan's
-	// own prediction evolved from this state.
-	solveAt  *big.Rat
-	solveRem map[int]*big.Rat
 	// solves counts inner exact LP-based solves, for the ablation report;
 	// cacheHits counts decision points served from the cached plan.
 	solves    int
@@ -124,9 +117,6 @@ func (p *OnlineMWF) SolverTally() stats.SolverTally { return p.tally }
 func (p *OnlineMWF) Reset() {
 	p.err = nil
 	p.plan = nil
-	p.known = nil
-	p.solveAt = nil
-	p.solveRem = nil
 	p.solves = 0
 	p.cacheHits = 0
 	p.basis = nil
@@ -136,25 +126,20 @@ func (p *OnlineMWF) Reset() {
 // Err reports the first inner-solver failure, if any.
 func (p *OnlineMWF) Err() error { return p.err }
 
-// InvalidatePlan implements sim.PlanInvalidator: it drops the cached plan
-// and its residual-workload fingerprint, forcing the next Assign through a
-// fresh solve. The engine calls it when a live job is removed (migrated to
-// another shard), so no stale plan piece for the vanished job is ever
-// followed. The warm-start basis survives: the next residual LP is still a
-// small perturbation of the last one.
-func (p *OnlineMWF) InvalidatePlan() {
-	p.plan = nil
-	p.known = nil
-	p.solveAt = nil
-	p.solveRem = nil
-}
+// InvalidatePlan implements sim.PlanInvalidator: it drops the cached plan,
+// forcing the next Assign through a fresh solve. The engine calls it on
+// every arrival (Add, AddPartial) and removal (Remove, RemoveAll) — the
+// only changes to the residual workload the plan did not predict. The
+// warm-start basis survives: the next residual LP is still a small
+// perturbation of the last one.
+func (p *OnlineMWF) InvalidatePlan() { p.plan = nil }
 
 // Assign implements Policy.
 func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 	if len(s.Jobs) == 0 || p.err != nil {
 		return idleAllocation(s.M)
 	}
-	if p.LazyResolve && p.plan != nil && p.planPredicts(s) {
+	if p.LazyResolve && p.plan != nil {
 		p.cacheHits++
 		if p.Observer != nil {
 			p.Observer.ObserveCacheHit()
@@ -167,17 +152,6 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 		p.err = fmt.Errorf("online-mwf: residual solve at t=%v: %w", s.Now.RatString(), err)
 		return idleAllocation(s.M)
 	}
-	p.known = make(map[int]bool, len(ids))
-	if p.LazyResolve {
-		p.solveAt = new(big.Rat).Set(s.Now)
-		p.solveRem = make(map[int]*big.Rat, len(s.Jobs))
-		for k := range s.Jobs {
-			p.solveRem[s.Jobs[k].ID] = new(big.Rat).Set(s.Jobs[k].Remaining)
-		}
-	}
-	for _, id := range ids {
-		p.known[id] = true
-	}
 	p.plan = p.plan[:0]
 	for k := range res.Schedule.Pieces {
 		piece := &res.Schedule.Pieces[k]
@@ -189,67 +163,6 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 		})
 	}
 	return p.followPlan(s)
-}
-
-// planPredicts reports whether the residual workload at s.Now matches what
-// the cached plan predicted: no unknown job has appeared, every live job's
-// remaining fraction equals the fingerprint state evolved along the plan,
-// and every job the plan still expected to be running is indeed live. On a
-// match the plan is still optimal and the solver can be skipped.
-func (p *OnlineMWF) planPredicts(s *Snapshot) bool {
-	live := make(map[int]*JobView, len(s.Jobs))
-	for k := range s.Jobs {
-		jv := &s.Jobs[k]
-		if !p.known[jv.ID] {
-			return false
-		}
-		live[jv.ID] = jv
-	}
-	pred := p.predictedRemaining(s)
-	for id, rem := range pred {
-		jv := live[id]
-		if jv == nil {
-			// The job left the system: the plan must agree it is done.
-			if rem.Sign() > 0 {
-				return false
-			}
-			continue
-		}
-		if rem.Cmp(jv.Remaining) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// predictedRemaining evolves the fingerprint state from the solve time to
-// s.Now along the cached plan: each plan piece overlapping [solveAt, now)
-// consumes duration/c_{i,j} of its job.
-func (p *OnlineMWF) predictedRemaining(s *Snapshot) map[int]*big.Rat {
-	pred := make(map[int]*big.Rat, len(p.solveRem))
-	for id, rem := range p.solveRem {
-		pred[id] = new(big.Rat).Set(rem)
-	}
-	for i := range p.plan {
-		piece := &p.plan[i]
-		start, end := piece.start, piece.end
-		if start.Cmp(p.solveAt) < 0 {
-			start = p.solveAt
-		}
-		if end.Cmp(s.Now) > 0 {
-			end = s.Now
-		}
-		if start.Cmp(end) >= 0 {
-			continue
-		}
-		c, ok := s.Cost(piece.machine, piece.jobID)
-		if !ok || pred[piece.jobID] == nil {
-			continue
-		}
-		d := new(big.Rat).Sub(end, start)
-		pred[piece.jobID].Sub(pred[piece.jobID], d.Quo(d, c))
-	}
-	return pred
 }
 
 // followPlan applies the stored plan at s.Now: each machine runs the piece

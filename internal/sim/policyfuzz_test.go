@@ -68,8 +68,10 @@ func fuzzConfig(seed int64, jobs, machines, databanks, replication, interarrival
 }
 
 // FuzzPolicyEngine drives every heuristic policy through the engine on
-// generator-shaped instances. `go test` runs the seed corpus; `go test
-// -fuzz FuzzPolicyEngine ./internal/sim` explores further shapes.
+// generator-shaped instances, plus the lazy OnlineMWF under the plan-cache
+// oracle (capped at lazyOracleMaxJobs jobs). `go test` runs the seed
+// corpus; `go test -fuzz FuzzPolicyEngine ./internal/sim` explores further
+// shapes.
 func FuzzPolicyEngine(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(3), uint8(3), uint8(2), uint8(4))
 	f.Add(int64(7), uint8(29), uint8(5), uint8(4), uint8(1), uint8(0))
@@ -80,12 +82,14 @@ func FuzzPolicyEngine(f *testing.F) {
 		for name, mk := range heuristicPolicies {
 			runAndValidate(t, name, mk, cfg)
 		}
+		runLazyOracle(t, cfg)
 	})
 }
 
 // TestPolicyEngineFuzzSweep is the deterministic arm of the fuzz harness: a
 // seed sweep over varied shapes (many machines, scarce replication, bursts
 // at time zero, long quiet gaps) so CI covers the diversity without -fuzz.
+// Each shape also runs the lazy OnlineMWF under the plan-cache oracle.
 func TestPolicyEngineFuzzSweep(t *testing.T) {
 	shapes := []workload.Config{
 		{Jobs: 25, Machines: 5, Databanks: 4, Replication: 1, MeanInterarrival: 2, MinSize: 1, MaxSize: 30, MinSpeed: 1, MaxSpeed: 5},
@@ -100,6 +104,7 @@ func TestPolicyEngineFuzzSweep(t *testing.T) {
 			for name, mk := range heuristicPolicies {
 				runAndValidate(t, name, mk, cfg)
 			}
+			runLazyOracle(t, cfg)
 		}
 	}
 }

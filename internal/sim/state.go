@@ -174,13 +174,6 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	return nil
 }
 
-// PlanJobState is one entry of a plan fingerprint: a job's remaining
-// fraction at the time of the cached solve.
-type PlanJobState struct {
-	ID        int      `json:"id"`
-	Remaining *big.Rat `json:"remaining"`
-}
-
 // PlanPieceState is one piece of the cached plan, in absolute times.
 type PlanPieceState struct {
 	Machine int      `json:"machine"`
@@ -189,18 +182,16 @@ type PlanPieceState struct {
 	End     *big.Rat `json:"end"`
 }
 
-// MWFPlanState is OnlineMWF's exported plan cache: the last solve's plan,
-// the residual-workload fingerprint it was computed for, and the solve
-// counters. The warm-start basis is deliberately not exported — it is a
-// pure performance artifact, and the first post-restore solve simply runs
-// cold. With the plan restored, a restored engine's next decision is served
-// from the cache exactly as the original engine's would have been, so the
-// restored trace continues bit-for-bit.
+// MWFPlanState is OnlineMWF's exported plan cache: the last solve's plan
+// and the solve counters. The warm-start basis is deliberately not exported
+// — it is a pure performance artifact, and the first post-restore solve
+// simply runs cold. With the plan restored, a restored engine's next
+// decision is served from the cache exactly as the original engine's would
+// have been, so the restored trace continues bit-for-bit. Documents from
+// older versions, which also carried the residual fingerprint of the last
+// solve, decode unchanged: encoding/json ignores the extra keys.
 type MWFPlanState struct {
 	Plan      []PlanPieceState `json:"plan,omitempty"`
-	Known     []int            `json:"known,omitempty"`
-	SolveAt   *big.Rat         `json:"solveAt,omitempty"`
-	SolveRem  []PlanJobState   `json:"solveRem,omitempty"`
 	Solves    int              `json:"solves,omitempty"`
 	CacheHits int              `json:"cacheHits,omitempty"`
 }
@@ -217,19 +208,6 @@ func (p *OnlineMWF) ExportPlanState() *MWFPlanState {
 			Start:   ratCopy(pp.start),
 			End:     ratCopy(pp.end),
 		})
-	}
-	for id := range p.known {
-		st.Known = append(st.Known, id)
-	}
-	sort.Ints(st.Known)
-	st.SolveAt = ratCopy(p.solveAt)
-	ids := make([]int, 0, len(p.solveRem))
-	for id := range p.solveRem {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st.SolveRem = append(st.SolveRem, PlanJobState{ID: id, Remaining: ratCopy(p.solveRem[id])})
 	}
 	return st
 }
@@ -250,18 +228,5 @@ func (p *OnlineMWF) RestorePlanState(st *MWFPlanState) {
 			start:   ratCopy(pp.Start),
 			end:     ratCopy(pp.End),
 		})
-	}
-	if st.Known != nil {
-		p.known = make(map[int]bool, len(st.Known))
-		for _, id := range st.Known {
-			p.known[id] = true
-		}
-	}
-	p.solveAt = ratCopy(st.SolveAt)
-	if st.SolveRem != nil {
-		p.solveRem = make(map[int]*big.Rat, len(st.SolveRem))
-		for k := range st.SolveRem {
-			p.solveRem[st.SolveRem[k].ID] = ratCopy(st.SolveRem[k].Remaining)
-		}
 	}
 }
